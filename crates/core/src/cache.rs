@@ -68,11 +68,6 @@ fn absorb_config(h: &mut Fnv64, config: &EmulatorConfig) {
         ArbitrationPolicy::FairRoundRobin => 2,
     });
     h.write_u8(config.trace as u8);
-    // The queue kind and the engine kind are deliberately *excluded*:
-    // every implementation pair is differential-tested bit-identical, so
-    // reports may be shared across them — an entry written by the
-    // interpreter answers for the fast core and vice versa. (DESIGN.md
-    // §10 and §12 document this as part of the cache contract.)
 }
 
 /// The cache key of one emulation job: `Psm::digest` + config + frames.
@@ -501,7 +496,6 @@ impl CachedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::QueueKind;
     use segbus_model::ids::SegmentId;
     use segbus_model::mapping::Allocation;
     use segbus_model::platform::Platform;
@@ -598,19 +592,34 @@ mod tests {
             ..base
         };
         assert_ne!(d, job_digest(&m, &fire, 1), "release policy is semantic");
-        // The queue kind is NOT semantic: both engines are bit-identical.
-        let heap = EmulatorConfig {
-            queue: QueueKind::BinaryHeap,
-            ..base
+    }
+
+    /// Literal cache keys of the MP3 three-segment system: a change to
+    /// the digest encoding would strand every `--cache-dir` store, so the
+    /// values are pinned, not just their distinctness.
+    #[test]
+    fn job_digests_are_pinned() {
+        let psm = segbus_apps::mp3::three_segment_psm();
+        let traced_fair_local = EmulatorConfig {
+            arbitration: ArbitrationPolicy::FairRoundRobin,
+            producer_release: ProducerRelease::AfterLocalPhase,
+            ..EmulatorConfig::traced()
         };
-        assert_eq!(d, job_digest(&m, &heap, 1), "queue kind shares entries");
-        // Neither is the engine kind: the fast core and the interpreter
-        // produce the same report, so their cache entries interchange.
-        let interp = EmulatorConfig {
-            engine: crate::EngineKind::Interpreter,
-            ..base
-        };
-        assert_eq!(d, job_digest(&m, &interp, 1), "engine kind shares entries");
+        let golden = [
+            (EmulatorConfig::default(), 1, 0xcba9_cb4c_f5ed_cf75),
+            (EmulatorConfig::default(), 2, 0xeaa4_9256_00dd_1996),
+            (EmulatorConfig::detailed(), 1, 0x97a3_c667_9e67_2086),
+            (EmulatorConfig::detailed(), 2, 0x78a8_ff5e_9377_d665),
+            (traced_fair_local, 1, 0x8d98_a4bf_dc1b_34f7),
+            (traced_fair_local, 2, 0x30a8_4fa4_bb4d_5694),
+        ];
+        for (config, frames, digest) in golden {
+            assert_eq!(
+                job_digest(&psm, &config, frames),
+                digest,
+                "{config:?} x {frames} frames"
+            );
+        }
     }
 
     #[test]

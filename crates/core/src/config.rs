@@ -7,8 +7,6 @@
 //! [`TimingParams::detailed`] switches the skipped factors on, which is
 //! what the independent reference simulator (`segbus-rtl`) models natively.
 
-use crate::queue::QueueKind;
-
 /// Per-activity tick costs of the platform protocol.
 ///
 /// All values are in clock ticks of the domain where the activity runs
@@ -130,26 +128,6 @@ pub enum ArbitrationPolicy {
     FairRoundRobin,
 }
 
-/// Which engine core executes a run.
-///
-/// Both cores are differential-tested bit-identical (same
-/// [`crate::EmulationReport`] for every PSM, arbitration and release
-/// mode), so the choice is purely a speed/debuggability trade-off and is
-/// — like [`QueueKind`] — deliberately excluded from the cache digest
-/// (`crate::cache::job_digest`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum EngineKind {
-    /// The specialised core ([`crate::fast`]): monomorphised over
-    /// arbitration × release policy, flat SoA scratch state, no trace
-    /// plumbing. The default. Traced runs fall back to the interpreter
-    /// (the fast core compiles trace hooks out entirely).
-    #[default]
-    Fast,
-    /// The general event-loop interpreter — the reference semantics, and
-    /// the only core that can record a [`crate::TraceLog`].
-    Interpreter,
-}
-
 /// Top-level emulator configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct EmulatorConfig {
@@ -162,13 +140,6 @@ pub struct EmulatorConfig {
     /// Record a package-level trace (needed for the Fig. 10/11 series;
     /// costs memory proportional to the package count).
     pub trace: bool,
-    /// Event-queue implementation for the interpreter core. The indexed
-    /// calendar queue is the default; the binary heap is retained for
-    /// differential testing. The fast core owns its queue and ignores
-    /// this knob.
-    pub queue: QueueKind,
-    /// Engine core selection (see [`EngineKind`]).
-    pub engine: EngineKind,
 }
 
 impl EmulatorConfig {

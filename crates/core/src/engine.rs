@@ -26,21 +26,18 @@
 //! waves, precomputed inter-segment paths with their border units) — and a
 //! mutable scratch state owned by [`Engine`], which is reset and reused
 //! across runs so that parameter sweeps and placement searches do not pay
-//! an allocation storm per emulation. [`Emulator`] remains the one-shot
-//! facade over the same machinery.
-
-use std::collections::VecDeque;
+//! an allocation storm per emulation. The event loop itself lives in
+//! [`crate::fast`]; [`Emulator`] remains the one-shot facade over the same
+//! machinery.
 
 use segbus_model::diag::SegbusError;
 use segbus_model::ids::{FlowId, ProcessId, SegmentId};
 use segbus_model::mapping::Psm;
 use segbus_model::time::{ClockDomain, Picos};
 
-use crate::config::{ArbitrationPolicy, EmulatorConfig, ProducerRelease};
-use crate::counters::{BuCounters, CaCounters, FuTimes, SaCounters};
-use crate::queue::EventQueue;
+use crate::config::{EmulatorConfig, ProducerRelease};
 use crate::report::EmulationReport;
-use crate::trace::{TraceEvent, TraceKind, TraceLog};
+use crate::trace::TraceLog;
 
 /// The performance-estimation emulator.
 ///
@@ -96,25 +93,6 @@ impl Emulator {
     pub fn try_run_frames(&self, psm: &Psm, frames: u64) -> Result<EmulationReport, SegbusError> {
         Engine::new(self.config).try_run_frames(psm, frames)
     }
-}
-
-// ---------------------------------------------------------------------------
-// events
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Ev {
-    /// A producer finished computing a package of `flow`.
-    ComputeDone { flow: FlowId, pkg: u64 },
-    /// Try to dispatch the local request queue of `seg`.
-    SaDispatch { seg: SegmentId },
-    /// An inter-segment request reaches the CA.
-    CaArrive { req: u32 },
-    /// Try to grant queued inter-segment requests.
-    CaDispatch,
-    /// An intra-segment transfer completed.
-    IntraDone { flow: FlowId, pkg: u64 },
-    /// Hop `hop` of inter-segment transfer `req` completed.
-    PhaseDone { req: u32, hop: u8 },
 }
 
 // ---------------------------------------------------------------------------
@@ -252,12 +230,6 @@ impl FastClock {
         Picos(self.period.floor_div(t.0 + self.period.d - 1) * self.period.d)
     }
 
-    /// See [`ClockDomain::ticks_to_picos`].
-    #[inline]
-    pub(crate) fn ticks_to_picos(&self, ticks: u64) -> Picos {
-        Picos(ticks * self.period.d)
-    }
-
     /// See [`ClockDomain::ticks_at`].
     #[inline]
     pub(crate) fn ticks_at(&self, t: Picos) -> u64 {
@@ -278,9 +250,6 @@ pub struct EnginePlan<'a> {
     pub(crate) flow_src: Vec<ProcessId>,
     pub(crate) flow_dst: Vec<ProcessId>,
     pub(crate) flow_pkgs: Vec<u64>,
-    /// Strength-reduced divisions by `flow_pkgs` (frame recovery on
-    /// delivery happens once per package).
-    pub(crate) flow_pkg_div: Vec<FastDiv>,
     pub(crate) flow_compute: Vec<u64>,
     /// Wave index of each flow (parallel to the flow table).
     pub(crate) flow_wave: Vec<usize>,
@@ -306,11 +275,6 @@ pub struct EnginePlan<'a> {
     /// rebuild only the O(degree) mapping-dependent `flow_path` entries.
     proc_flow_off: Vec<u32>,
     proc_flow: Vec<u32>,
-    /// Calendar-queue bucket-width hint. A bucket of a few dozen clock
-    /// ticks keeps the ring sparse — consecutive events are typically
-    /// many ticks apart — without letting any single bucket collect a
-    /// long scan list.
-    bucket_hint_ps: u64,
 }
 
 /// Reusable accumulation buffers for
@@ -381,7 +345,6 @@ impl<'a> EnginePlan<'a> {
         let flow_src: Vec<ProcessId> = app.flows().iter().map(|f| f.src).collect();
         let flow_dst: Vec<ProcessId> = app.flows().iter().map(|f| f.dst).collect();
         let flow_pkgs: Vec<u64> = app.flows().iter().map(|f| f.packages(s)).collect();
-        let flow_pkg_div: Vec<FastDiv> = flow_pkgs.iter().map(|&n| FastDiv::new(n)).collect();
         let flow_compute: Vec<u64> = (0..nflow)
             .map(|i| app.ticks_per_package(FlowId(i as u32), s))
             .collect();
@@ -450,19 +413,6 @@ impl<'a> EnginePlan<'a> {
         let ca_clock = platform.ca_clock();
         let fast_seg: Vec<FastClock> = seg_clock.iter().map(|&c| FastClock::new(c)).collect();
         let fast_ca = FastClock::new(ca_clock);
-        let min_period_ps = seg_clock
-            .iter()
-            .map(|c| c.period_ps())
-            .chain(std::iter::once(ca_clock.period_ps()))
-            .min()
-            .unwrap_or(1);
-        // Calendar bucket width: 64 fastest-clock periods per virtual
-        // bucket. Measured on the MP3 sweep: narrower buckets pay for
-        // extra window advances, wider ones for longer in-bucket scans;
-        // 64-128 is the flat optimum once same-edge dispatches are
-        // handled inline.
-        let bucket_hint_ps = min_period_ps.saturating_mul(64);
-
         Ok(EnginePlan {
             psm,
             s,
@@ -472,7 +422,6 @@ impl<'a> EnginePlan<'a> {
             flow_src,
             flow_dst,
             flow_pkgs,
-            flow_pkg_div,
             flow_compute,
             flow_wave,
             flow_path,
@@ -486,7 +435,6 @@ impl<'a> EnginePlan<'a> {
             path_of,
             proc_flow_off,
             proc_flow,
-            bucket_hint_ps,
         })
     }
 
@@ -729,142 +677,17 @@ impl<'a> EnginePlan<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// scratch state
-
-/// A pending intra-segment package transfer.
-#[derive(Clone, Copy, Debug)]
-struct LocalReq {
-    flow: FlowId,
-    pkg: u64,
-}
-
-/// An inter-segment transfer in flight. `path` indexes the plan's route
-/// table, so the record stays `Copy` and transfer bookkeeping never
-/// allocates on the hot path.
-#[derive(Clone, Copy, Debug)]
-struct InterTransfer {
-    flow: FlowId,
-    pkg: u64,
-    path: u32,
-    /// Granted yet?
-    granted: bool,
-}
-
-#[derive(Clone, Copy, Default, PartialEq, Eq)]
-struct Remaining {
-    out: u64,
-    inp: u64,
-}
-
-#[derive(Clone, Debug, Default)]
-struct ProducerState {
-    /// (flow, packages remaining, frame) for the armed wave instances.
-    pending: Vec<(FlowId, u64, u64)>,
-    /// Round-robin cursor over `pending`.
-    rr: usize,
-    /// Currently computing or transferring a package.
-    busy: bool,
-}
-
-/// Every mutable vector of a run, kept allocated between runs.
-#[derive(Default)]
-struct EngineScratch {
-    queue: EventQueue<Ev>,
-    seq: u64,
-    /// Outstanding deliveries per wave instance (`frame * waves + wave`).
-    instance_remaining: Vec<u64>,
-    producers: Vec<ProducerState>,
-    /// Packages each process still has to send (`out`) and receive
-    /// (`inp`); one struct so the flag check touches a single slot.
-    remaining: Vec<Remaining>,
-    bus_free: Vec<Picos>,
-    /// Segment locked into a granted inter-segment circuit.
-    reserved: Vec<bool>,
-    sa_queue: Vec<VecDeque<LocalReq>>,
-    /// Per-process local-bus service counts (fair round-robin arbitration).
-    served: Vec<u64>,
-    ca_queue: VecDeque<u32>,
-    transfers: Vec<InterTransfer>,
-    sas: Vec<SaCounters>,
-    ca: CaCounters,
-    bus_ctr: Vec<BuCounters>,
-    fus: Vec<FuTimes>,
-    makespan: Picos,
-}
-
-/// Clear and re-dimension a vector, keeping its allocation.
-fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
-    v.clear();
-    v.resize(n, value);
-}
-
-impl EngineScratch {
-    fn reset(&mut self, plan: &EnginePlan, frames: u64, cfg: &EmulatorConfig) {
-        self.queue.reset(cfg.queue, plan.bucket_hint_ps);
-        self.seq = 0;
-
-        self.instance_remaining.clear();
-        for _ in 0..frames {
-            for flows in &plan.waves {
-                self.instance_remaining
-                    .push(flows.iter().map(|f| plan.flow_pkgs[f.index()]).sum::<u64>());
-            }
-        }
-
-        // Producers keep their pending-vector allocations across runs.
-        self.producers
-            .resize_with(plan.nproc, ProducerState::default);
-        self.producers.truncate(plan.nproc);
-        for p in &mut self.producers {
-            p.pending.clear();
-            p.rr = 0;
-            p.busy = false;
-        }
-
-        refill(&mut self.remaining, plan.nproc, Remaining::default());
-        for i in 0..plan.flow_src.len() {
-            self.remaining[plan.flow_src[i].index()].out += plan.flow_pkgs[i] * frames;
-            self.remaining[plan.flow_dst[i].index()].inp += plan.flow_pkgs[i] * frames;
-        }
-
-        refill(&mut self.bus_free, plan.nseg, Picos::ZERO);
-        refill(&mut self.reserved, plan.nseg, false);
-        self.sa_queue.resize_with(plan.nseg, VecDeque::new);
-        self.sa_queue.truncate(plan.nseg);
-        for q in &mut self.sa_queue {
-            q.clear();
-        }
-        refill(&mut self.served, plan.nproc, 0);
-        self.ca_queue.clear();
-        self.transfers.clear();
-
-        refill(&mut self.sas, plan.nseg, SaCounters::default());
-        self.ca = CaCounters::default();
-        refill(&mut self.bus_ctr, plan.n_bu, BuCounters::default());
-        refill(&mut self.fus, plan.nproc, FuTimes::default());
-        // Processes with no flows at all raise their flag immediately.
-        for (i, fu) in self.fus.iter_mut().enumerate() {
-            if self.remaining[i] == Remaining::default() {
-                fu.flag = true;
-            }
-        }
-        self.makespan = Picos::ZERO;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // engine
 
 /// A reusable emulation engine: configuration plus scratch buffers.
 ///
 /// Unlike the [`Emulator`] facade, an `Engine` is stateful — successive
-/// [`Engine::run`] calls reuse every internal vector (event queue buckets,
+/// [`Engine::run`] calls reuse every internal vector (event queue,
 /// per-segment queues, counters), which makes tight loops over many PSMs
 /// (sweeps, placement searches) allocation-free apart from plan
 /// compilation. Results are bit-identical to a fresh `Emulator` run.
 pub struct Engine {
     config: EmulatorConfig,
-    scratch: EngineScratch,
     fast: crate::fast::FastScratch,
 }
 
@@ -873,7 +696,6 @@ impl Engine {
     pub fn new(config: EmulatorConfig) -> Engine {
         Engine {
             config,
-            scratch: EngineScratch::default(),
             fast: crate::fast::FastScratch::default(),
         }
     }
@@ -938,37 +760,13 @@ impl Engine {
     /// # Panics
     /// Panics if `frames` is zero.
     pub fn run_plan_into(&mut self, plan: &EnginePlan, frames: u64, out: &mut EmulationReport) {
-        assert!(frames > 0, "at least one frame");
-        if self.config.engine == crate::config::EngineKind::Fast {
-            if self.config.trace {
-                // The traced fast instantiations emit the interpreter's
-                // exact event stream (differential-tested event for
-                // event); collect it into the report's TraceLog.
-                let mut log = TraceLog::new();
-                crate::fast::run_fast_traced(
-                    plan,
-                    &mut self.fast,
-                    &self.config,
-                    frames,
-                    &mut log,
-                    out,
-                );
-                out.trace = Some(log);
-                return;
-            }
+        if self.config.trace {
+            let mut log = TraceLog::new();
+            crate::fast::run_fast_traced(plan, &mut self.fast, &self.config, frames, &mut log, out);
+            out.trace = Some(log);
+        } else {
             crate::fast::run_fast(plan, &mut self.fast, &self.config, frames, out);
-            return;
         }
-        self.scratch.reset(plan, frames, &self.config);
-        Run {
-            plan,
-            cfg: self.config,
-            sc: &mut self.scratch,
-            frames,
-            bus_ticks: self.config.timing.bus_transaction_ticks(plan.s),
-            trace: self.config.trace.then(TraceLog::new),
-        }
-        .execute_into(out)
     }
 
     /// Execute a pre-compiled plan, streaming every trace event into
@@ -978,10 +776,6 @@ impl Engine {
     /// `None`: the events went to the sink. Tracing is implied; the
     /// configured [`EmulatorConfig::trace`] flag is ignored here.
     ///
-    /// On the fast engine events stream as they are emitted; the
-    /// interpreter records its log first and replays it into the sink
-    /// (identical event sequence either way).
-    ///
     /// # Panics
     /// Panics if `frames` is zero.
     pub fn run_plan_with_sink(
@@ -990,34 +784,15 @@ impl Engine {
         frames: u64,
         sink: &mut dyn crate::trace::TraceSink,
     ) -> EmulationReport {
-        assert!(frames > 0, "at least one frame");
         let mut report = EmulationReport::empty();
-        if self.config.engine == crate::config::EngineKind::Fast {
-            crate::fast::run_fast_traced(
-                plan,
-                &mut self.fast,
-                &self.config,
-                frames,
-                sink,
-                &mut report,
-            );
-            return report;
-        }
-        self.scratch.reset(plan, frames, &self.config);
-        Run {
+        crate::fast::run_fast_traced(
             plan,
-            cfg: self.config,
-            sc: &mut self.scratch,
+            &mut self.fast,
+            &self.config,
             frames,
-            bus_ticks: self.config.timing.bus_transaction_ticks(plan.s),
-            trace: Some(TraceLog::new()),
-        }
-        .execute_into(&mut report);
-        if let Some(log) = report.trace.take() {
-            for e in log.events() {
-                sink.emit(e);
-            }
-        }
+            sink,
+            &mut report,
+        );
         report
     }
 
@@ -1035,568 +810,11 @@ impl Engine {
     }
 }
 
-// ---------------------------------------------------------------------------
-// one run
-
-struct Run<'r, 'a> {
-    plan: &'r EnginePlan<'a>,
-    cfg: EmulatorConfig,
-    sc: &'r mut EngineScratch,
-    frames: u64,
-    /// [`TimingParams::bus_transaction_ticks`] for the plan's package
-    /// size, summed once per run instead of per bus transaction.
-    bus_ticks: u64,
-    trace: Option<TraceLog>,
-}
-
-impl Run<'_, '_> {
-    // -- helpers ----------------------------------------------------------
-
-    #[inline(always)]
-    fn schedule(&mut self, at: Picos, ev: Ev) {
-        self.sc.seq += 1;
-        self.sc.queue.push(at, self.sc.seq, ev);
-    }
-
-    fn trace(&mut self, e: TraceEvent) {
-        if let Some(t) = &mut self.trace {
-            t.push(e);
-        }
-    }
-
-    fn seg_of(&self, p: ProcessId) -> SegmentId {
-        self.plan.proc_seg[p.index()]
-    }
-
-    fn touch_sa(&mut self, seg: SegmentId, at: Picos) {
-        let c = &mut self.sc.sas[seg.index()];
-        c.last_activity = c.last_activity.max(at);
-    }
-
-    // -- wave / producer control ------------------------------------------
-
-    /// Arm the producers of wave instance `g` (= frame × waves + wave) at
-    /// global time `t`. Empty wave instances complete immediately.
-    fn start_instance(&mut self, g: usize, t: Picos) {
-        let plan = self.plan;
-        let w = g % plan.waves.len();
-        let frame = (g / plan.waves.len()) as u64;
-        let flows = &plan.waves[w];
-        if flows.is_empty() {
-            self.complete_instance(g, t);
-            return;
-        }
-        for f in flows {
-            let src = plan.flow_src[f.index()];
-            self.sc.producers[src.index()]
-                .pending
-                .push((*f, plan.flow_pkgs[f.index()], frame));
-        }
-        // Kick every producer that has work and is idle.
-        for p in 0..plan.nproc {
-            let pid = ProcessId(p as u32);
-            if !self.sc.producers[p].busy && !self.sc.producers[p].pending.is_empty() {
-                self.start_next_package(pid, t);
-            }
-        }
-    }
-
-    /// A wave instance fully delivered: open its successor within the frame.
-    fn complete_instance(&mut self, g: usize, now: Picos) {
-        self.trace(TraceEvent {
-            at: now,
-            kind: TraceKind::WaveComplete,
-            flow: None,
-            package: None,
-            process: None,
-            segment: None,
-        });
-        let w = g % self.plan.waves.len();
-        if w + 1 < self.plan.waves.len() {
-            self.start_instance(g + 1, now);
-        }
-    }
-
-    /// Pick the producer's next package (round-robin over its same-wave
-    /// flows) and schedule its computation.
-    fn start_next_package(&mut self, p: ProcessId, t: Picos) {
-        let plan = self.plan;
-        let st = &mut self.sc.producers[p.index()];
-        if st.pending.is_empty() {
-            st.busy = false;
-            return;
-        }
-        // Round-robin index; the modulo only triggers on a stale pointer
-        // (the pending list was drained and refilled), so the common path
-        // avoids an integer division per package.
-        let len = st.pending.len();
-        let idx = if st.rr < len { st.rr } else { st.rr % len };
-        let (flow, remaining, frame) = st.pending[idx];
-        // Frame-global package index, so every event stays unambiguous
-        // without carrying the frame separately.
-        let pkg = frame * plan.flow_pkgs[flow.index()] + (plan.flow_pkgs[flow.index()] - remaining);
-        if remaining == 1 {
-            st.pending.remove(idx);
-            // keep rr pointing at the element after the removed one
-            let len = st.pending.len();
-            if len > 0 && st.rr >= len {
-                st.rr %= len;
-            }
-        } else {
-            st.pending[idx].1 -= 1;
-            st.rr += 1;
-            if st.rr >= st.pending.len() {
-                st.rr %= st.pending.len().max(1);
-            }
-        }
-        st.busy = true;
-
-        let seg = self.seg_of(p);
-        let clk = plan.fast_seg[seg.index()];
-        let start = clk.next_edge(t);
-        let compute = plan.flow_compute[flow.index()];
-        let dur = clk.ticks_to_picos(compute);
-        let end = start + dur;
-        self.sc.fus[p.index()].compute_ticks += compute;
-        if self.sc.fus[p.index()].start.is_none() {
-            self.sc.fus[p.index()].start = Some(start);
-        }
-        self.trace(TraceEvent {
-            at: start,
-            kind: TraceKind::ComputeStart,
-            flow: Some(flow),
-            package: Some(pkg),
-            process: Some(p),
-            segment: Some(seg),
-        });
-        self.schedule(end, Ev::ComputeDone { flow, pkg });
-    }
-
-    // -- event handlers ----------------------------------------------------
-
-    fn on_compute_done(&mut self, now: Picos, flow: FlowId, pkg: u64) {
-        let plan = self.plan;
-        let src = plan.flow_src[flow.index()];
-        let src_seg = self.seg_of(src);
-        self.trace(TraceEvent {
-            at: now,
-            kind: TraceKind::ComputeEnd,
-            flow: Some(flow),
-            package: Some(pkg),
-            process: Some(src),
-            segment: Some(src_seg),
-        });
-        self.touch_sa(src_seg, now);
-        let path = plan.flow_path[flow.index()];
-        if path == NO_PATH {
-            self.sc.sas[src_seg.index()].intra_requests += 1;
-            self.sc.sa_queue[src_seg.index()].push_back(LocalReq { flow, pkg });
-            let at = plan.fast_seg[src_seg.index()].next_edge(now);
-            // Computation ends on a segment-clock edge, so the dispatch
-            // attempt lands at exactly `now` and — freshly scheduled — would
-            // carry the newest sequence number, i.e. pop after every event
-            // already pending at this instant. Under FIFO arbitration the
-            // serve order and serve times are a function of arrival order
-            // and bus availability alone (a dispatch that finds the bus
-            // busy, the segment reserved, or the queue empty touches no
-            // state and is re-triggered by the blocking event), so running
-            // the attempt inline is report-identical and saves a queue
-            // round-trip per local package. Priority-based policies pick by
-            // queue *content* at dispatch time and keep the event.
-            if at == now && self.cfg.arbitration == ArbitrationPolicy::Fifo {
-                self.on_sa_dispatch(now, src_seg);
-            } else {
-                self.schedule(at, Ev::SaDispatch { seg: src_seg });
-            }
-        } else {
-            self.sc.sas[src_seg.index()].inter_requests += 1;
-            let req = self.sc.transfers.len() as u32;
-            self.sc.transfers.push(InterTransfer {
-                flow,
-                pkg,
-                path,
-                granted: false,
-            });
-            let at = plan.fast_ca.next_edge(now)
-                + plan
-                    .fast_ca
-                    .ticks_to_picos(self.cfg.timing.ca_request_ticks);
-            self.schedule(at, Ev::CaArrive { req });
-        }
-    }
-
-    fn on_sa_dispatch(&mut self, now: Picos, seg: SegmentId) {
-        let plan = self.plan;
-        let si = seg.index();
-        if self.sc.sa_queue[si].is_empty() {
-            return;
-        }
-        if self.sc.reserved[si] {
-            // The CA connected this segment into an inter-segment circuit;
-            // local traffic resumes at the cascade release (PhaseDone
-            // re-triggers dispatch).
-            return;
-        }
-        if self.sc.bus_free[si] > now {
-            // Bus busy; retry when it frees.
-            let at = self.sc.bus_free[si];
-            self.schedule(at, Ev::SaDispatch { seg });
-            return;
-        }
-        let pick = match self.cfg.arbitration {
-            ArbitrationPolicy::Fifo => 0,
-            ArbitrationPolicy::FixedPriority => self.sc.sa_queue[si]
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, r)| (plan.flow_src[r.flow.index()], *i))
-                .map(|(i, _)| i)
-                .expect("checked non-empty"),
-            ArbitrationPolicy::FairRoundRobin => {
-                let served = &self.sc.served;
-                self.sc.sa_queue[si]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(i, r)| {
-                        let src = plan.flow_src[r.flow.index()];
-                        (served[src.index()], *i)
-                    })
-                    .map(|(i, _)| i)
-                    .expect("checked non-empty")
-            }
-        };
-        let req = self.sc.sa_queue[si].remove(pick).expect("index in range");
-        self.sc.served[plan.flow_src[req.flow.index()].index()] += 1;
-        let clk = plan.fast_seg[si];
-        let start = clk.next_edge(now);
-        let ticks = self.bus_ticks;
-        let end = start + clk.ticks_to_picos(ticks);
-        self.sc.bus_free[si] = end;
-        self.sc.sas[si].busy_ticks += ticks;
-        self.touch_sa(seg, end);
-        self.trace(TraceEvent {
-            at: start,
-            kind: TraceKind::BusStart,
-            flow: Some(req.flow),
-            package: Some(req.pkg),
-            process: None,
-            segment: Some(seg),
-        });
-        self.trace(TraceEvent {
-            at: end,
-            kind: TraceKind::BusEnd,
-            flow: Some(req.flow),
-            package: Some(req.pkg),
-            process: None,
-            segment: Some(seg),
-        });
-        self.schedule(
-            end,
-            Ev::IntraDone {
-                flow: req.flow,
-                pkg: req.pkg,
-            },
-        );
-        // More work queued? Try again when the bus frees.
-        if !self.sc.sa_queue[si].is_empty() {
-            self.schedule(end, Ev::SaDispatch { seg });
-        }
-    }
-
-    fn on_ca_arrive(&mut self, now: Picos, req: u32) {
-        self.sc.ca.inter_requests += 1;
-        self.sc.ca.busy_ticks += self.cfg.timing.ca_request_ticks;
-        self.sc.ca_queue.push_back(req);
-        self.schedule(now, Ev::CaDispatch);
-    }
-
-    fn on_ca_dispatch(&mut self, now: Picos) {
-        // First-fit scan: reserve every queued request whose full path is
-        // not already part of another circuit (the CA may run disjoint
-        // same-order global flows simultaneously, §3.1). Segments still
-        // draining a local transaction are reserved immediately; the
-        // circuit's phases start once each bus frees.
-        let plan = self.plan;
-        let mut i = 0;
-        while i < self.sc.ca_queue.len() {
-            let req = self.sc.ca_queue[i];
-            let tr = self.sc.transfers[req as usize];
-            let available = plan.paths[tr.path as usize]
-                .segs
-                .iter()
-                .all(|m| !self.sc.reserved[m.index()]);
-            if available {
-                self.sc.ca_queue.remove(i);
-                self.grant(now, req);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Reserve the whole path and pre-schedule every hop (circuit-switched
-    /// transfer with cascaded release, paper Fig. 2).
-    fn grant(&mut self, now: Picos, req: u32) {
-        let plan = self.plan;
-        let tr = self.sc.transfers[req as usize];
-        debug_assert!(!tr.granted);
-        self.sc.transfers[req as usize].granted = true;
-        self.sc.ca.grants += 1;
-        self.sc.ca.busy_ticks += self.cfg.timing.ca_grant_ticks;
-        let timing = self.cfg.timing;
-        let ticks = self.bus_ticks;
-        let path = &plan.paths[tr.path as usize];
-
-        let mut prev_end = Picos::ZERO;
-        for (hop, &m) in path.segs.iter().enumerate() {
-            let mi = m.index();
-            let clk = plan.fast_seg[mi];
-            self.sc.reserved[mi] = true;
-            // A reserved segment first drains its in-flight local
-            // transaction; the circuit's phase starts on the later of the
-            // protocol time and that drain point.
-            let drain = clk.next_edge(self.sc.bus_free[mi]);
-            let start = if hop == 0 {
-                clk.next_edge(now).max(drain)
-            } else {
-                // The downstream SA samples the loaded BU, plus (in
-                // detailed timing) the clock-domain synchroniser.
-                let base = clk.next_edge(prev_end);
-                let wait = clk.ticks_to_picos(timing.wp_sample_ticks + timing.bu_sync_ticks);
-                let start = (base + wait).max(drain);
-                // Record the waiting period at the BU we are unloading.
-                let wp = clk.ticks_at(start - prev_end);
-                let b = &mut self.sc.bus_ctr[path.bu[hop - 1] as usize];
-                b.waiting_ticks += wp;
-                b.tct += 2 * plan.s as u64 + wp;
-                start
-            };
-            let end = start + clk.ticks_to_picos(ticks);
-            self.sc.bus_free[mi] = end;
-            self.sc.sas[mi].busy_ticks += ticks;
-            self.touch_sa(m, end);
-            self.trace(TraceEvent {
-                at: start,
-                kind: TraceKind::BusStart,
-                flow: Some(tr.flow),
-                package: Some(tr.pkg),
-                process: None,
-                segment: Some(m),
-            });
-            self.trace(TraceEvent {
-                at: end,
-                kind: TraceKind::BusEnd,
-                flow: Some(tr.flow),
-                package: Some(tr.pkg),
-                process: None,
-                segment: Some(m),
-            });
-            // Package movement bookkeeping at the end of this hop. The BU
-            // side is the loading segment's position on that unit (which
-            // also covers a ring's wrap-around BU).
-            if hop + 1 < path.segs.len() {
-                let b = &mut self.sc.bus_ctr[path.bu[hop] as usize];
-                if path.load_left[hop] {
-                    b.received_from_left += 1;
-                } else {
-                    b.received_from_right += 1;
-                }
-                self.trace(TraceEvent {
-                    at: end,
-                    kind: TraceKind::BuLoaded,
-                    flow: Some(tr.flow),
-                    package: Some(tr.pkg),
-                    process: None,
-                    segment: Some(m),
-                });
-            }
-            if hop > 0 {
-                // This hop unloaded the BU behind it.
-                let b = &mut self.sc.bus_ctr[path.bu[hop - 1] as usize];
-                if path.unload_right[hop - 1] {
-                    b.transferred_to_right += 1;
-                } else {
-                    b.transferred_to_left += 1;
-                }
-                // Routing a BU delivery is an intra-segment job for this SA.
-                self.sc.sas[mi].intra_requests += 1;
-                self.trace(TraceEvent {
-                    at: start,
-                    kind: TraceKind::BuUnloaded,
-                    flow: Some(tr.flow),
-                    package: Some(tr.pkg),
-                    process: None,
-                    segment: Some(m),
-                });
-            }
-            self.schedule(
-                end,
-                Ev::PhaseDone {
-                    req,
-                    hop: hop as u8,
-                },
-            );
-            prev_end = end;
-        }
-        // The source segment pushed one package toward the destination
-        // (side = the source's position on its first-hop BU).
-        let src = path.segs[0];
-        if path.load_left[0] {
-            self.sc.sas[src.index()].packets_to_right += 1;
-        } else {
-            self.sc.sas[src.index()].packets_to_left += 1;
-        }
-    }
-
-    fn on_intra_done(&mut self, now: Picos, flow: FlowId, pkg: u64) {
-        let src = self.plan.flow_src[flow.index()];
-        self.deliver(now, flow, pkg);
-        self.producer_transfer_done(now, src);
-        // A freed bus may unblock a queued CA request.
-        if !self.sc.ca_queue.is_empty() {
-            self.schedule(self.plan.fast_ca.next_edge(now), Ev::CaDispatch);
-        }
-    }
-
-    fn on_phase_done(&mut self, now: Picos, req: u32, hop: u8) {
-        let plan = self.plan;
-        let tr = self.sc.transfers[req as usize];
-        let path = &plan.paths[tr.path as usize];
-        let seg = path.segs[hop as usize];
-        // Cascade release: the CA resets this segment's grant.
-        self.sc.reserved[seg.index()] = false;
-        self.sc.ca.releases += 1;
-        self.sc.ca.busy_ticks += self.cfg.timing.ca_release_ticks;
-        let src = plan.flow_src[tr.flow.index()];
-        let last = hop as usize == path.segs.len() - 1;
-        match self.cfg.producer_release {
-            ProducerRelease::AfterLocalPhase if hop == 0 => {
-                // Fire-and-forget: the producer handed the package to the
-                // first BU and may compute its next package now.
-                self.producer_transfer_done(now, src);
-            }
-            ProducerRelease::AfterDelivery if last => {
-                // Flow control: the producer resumes only once the package
-                // reached its destination.
-                self.producer_transfer_done(now, src);
-            }
-            _ => {}
-        }
-        if last {
-            self.deliver(now, tr.flow, tr.pkg);
-        }
-        // The freed segment may serve local or queued CA work.
-        if !self.sc.sa_queue[seg.index()].is_empty() {
-            self.schedule(now, Ev::SaDispatch { seg });
-        }
-        if !self.sc.ca_queue.is_empty() {
-            self.schedule(plan.fast_ca.next_edge(now), Ev::CaDispatch);
-        }
-    }
-
-    /// Producer-side completion of one package's local transfer phase.
-    fn producer_transfer_done(&mut self, now: Picos, p: ProcessId) {
-        self.sc.fus[p.index()].packages_sent += 1;
-        self.sc.fus[p.index()].end = Some(now);
-        self.sc.remaining[p.index()].out -= 1;
-        self.maybe_raise_flag(now, p);
-        self.start_next_package(p, now);
-    }
-
-    /// Final delivery of a package at its destination process.
-    fn deliver(&mut self, now: Picos, flow: FlowId, pkg: u64) {
-        let plan = self.plan;
-        let dst = plan.flow_dst[flow.index()];
-        let fu = &mut self.sc.fus[dst.index()];
-        fu.packages_received += 1;
-        fu.last_received = Some(now);
-        self.sc.remaining[dst.index()].inp -= 1;
-        self.trace(TraceEvent {
-            at: now,
-            kind: TraceKind::Delivered,
-            flow: Some(flow),
-            package: Some(pkg),
-            process: Some(dst),
-            segment: Some(plan.proc_seg[dst.index()]),
-        });
-        self.maybe_raise_flag(now, dst);
-        // Wave-instance bookkeeping: the frame is recovered from the
-        // frame-global package index.
-        let frame = plan.flow_pkg_div[flow.index()].floor_div(pkg);
-        let g = frame as usize * plan.waves.len() + plan.flow_wave[flow.index()];
-        self.sc.instance_remaining[g] -= 1;
-        if self.sc.instance_remaining[g] == 0 {
-            self.complete_instance(g, now);
-        }
-    }
-
-    fn maybe_raise_flag(&mut self, now: Picos, p: ProcessId) {
-        let i = p.index();
-        if !self.sc.fus[i].flag && self.sc.remaining[i] == Remaining::default() {
-            self.sc.fus[i].flag = true;
-            self.trace(TraceEvent {
-                at: now,
-                kind: TraceKind::FlagRaised,
-                flow: None,
-                package: None,
-                process: Some(p),
-                segment: None,
-            });
-        }
-    }
-
-    // -- main loop ---------------------------------------------------------
-
-    fn execute_into(mut self, out: &mut EmulationReport) {
-        let plan = self.plan;
-        if !plan.waves.is_empty() {
-            // Wave 0 of every frame is input-ready immediately (streaming
-            // with a full input buffer); later waves open as their
-            // predecessors deliver, so frames pipeline.
-            for frame in 0..self.frames {
-                self.start_instance(frame as usize * plan.waves.len(), Picos::ZERO);
-            }
-        }
-        while let Some((at, ev)) = self.sc.queue.pop() {
-            self.sc.makespan = self.sc.makespan.max(at);
-            match ev {
-                Ev::ComputeDone { flow, pkg } => self.on_compute_done(at, flow, pkg),
-                Ev::SaDispatch { seg } => self.on_sa_dispatch(at, seg),
-                Ev::CaArrive { req } => self.on_ca_arrive(at, req),
-                Ev::CaDispatch => self.on_ca_dispatch(at),
-                Ev::IntraDone { flow, pkg } => self.on_intra_done(at, flow, pkg),
-                Ev::PhaseDone { req, hop } => self.on_phase_done(at, req, hop),
-            }
-        }
-        debug_assert!(
-            self.sc.fus.iter().all(|f| f.flag),
-            "emulation drained with unraised flags — schedule deadlock"
-        );
-        // Final counters: each SA's TCT runs to its last activity, the CA
-        // polls until global quiescence.
-        for (i, sa) in self.sc.sas.iter_mut().enumerate() {
-            sa.tct = plan.seg_clock[i].ticks_covering(sa.last_activity);
-        }
-        self.sc.ca.tct = plan.ca_clock.ticks_covering(self.sc.makespan);
-        // clone_from reuses the output report's allocations; a fresh
-        // (empty) report degrades to plain clones.
-        out.sas.clone_from(&self.sc.sas);
-        out.ca = self.sc.ca;
-        out.bus.clone_from(&self.sc.bus_ctr);
-        out.bu_refs.clear();
-        out.bu_refs.extend(plan.psm.platform().border_units());
-        out.fus.clone_from(&self.sc.fus);
-        out.segment_clocks.clone_from(&plan.seg_clock);
-        out.ca_clock = plan.ca_clock;
-        out.package_size = plan.s;
-        out.makespan = self.sc.makespan;
-        out.trace = self.trace.take();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::QueueKind;
+    use crate::config::ArbitrationPolicy;
+    use crate::trace::TraceKind;
     use segbus_model::mapping::Allocation;
     use segbus_model::platform::Platform;
     use segbus_model::psdf::{Application, Flow, Process};
@@ -1631,10 +849,6 @@ mod tests {
                     f.ticks_at(Picos(v)),
                     c.ticks_at(Picos(v)),
                     "ticks_at p={p} x={v}"
-                );
-                assert_eq!(
-                    f.ticks_to_picos(v % (1 << 40)),
-                    c.ticks_to_picos(v % (1 << 40))
                 );
                 if v <= u64::MAX - p {
                     assert_eq!(
@@ -1935,28 +1149,6 @@ mod tests {
         assert_eq!(b.makespan, c.makespan);
         assert_eq!(a.sas, c.sas);
         assert_eq!(a.bus, c.bus);
-    }
-
-    /// The calendar queue and the reference heap drive identical runs.
-    #[test]
-    fn queue_kinds_are_bit_identical() {
-        for psm in [remote_pair(10 * 36), local_pair()] {
-            let heap = Emulator::new(EmulatorConfig {
-                queue: QueueKind::BinaryHeap,
-                ..EmulatorConfig::traced()
-            })
-            .run(&psm);
-            let indexed = Emulator::new(EmulatorConfig {
-                queue: QueueKind::Indexed,
-                ..EmulatorConfig::traced()
-            })
-            .run(&psm);
-            assert_eq!(heap.makespan, indexed.makespan);
-            assert_eq!(heap.sas, indexed.sas);
-            assert_eq!(heap.ca, indexed.ca);
-            assert_eq!(heap.bus, indexed.bus);
-            assert_eq!(heap.fus, indexed.fus);
-        }
     }
 
     /// Arbitration policies: fixed priority favours low process ids; fair

@@ -1,13 +1,14 @@
-//! The specialised engine core: the interpreter's semantics with the
-//! per-event dynamic dispatch compiled out.
+//! The engine's event loop: the discrete-event semantics of
+//! [`crate::ReferenceEmulator`] with the per-event dynamic dispatch
+//! compiled out.
 //!
-//! [`crate::engine`]'s event loop pays, on every popped event, for
-//! decisions that are invariant over a whole run: which arbitration
-//! policy picks the next local request, which release policy frees a
-//! producer, whether a trace is being recorded, and which event-queue
-//! implementation backs `push`/`pop`. This module removes all four, and
-//! then removes events and arithmetic the interpreter performs
-//! redundantly:
+//! The reference runs the *plain schedule*: one queued event per protocol
+//! step, popped in `(time, scheduling sequence)` order, with every
+//! decision that is invariant over a whole run — which arbitration policy
+//! picks the next local request, which release policy frees a producer,
+//! whether a trace is being recorded — taken again on every event. This
+//! module removes those decisions, and then removes events and arithmetic
+//! the plain schedule performs redundantly:
 //!
 //! * **Monomorphisation** — the run loop is generic over
 //!   `<A: Arbitration, R: Release, const TRACED: bool>` and instantiated
@@ -18,22 +19,18 @@
 //! * **Monomorphised tracing** — every trace hook sits behind
 //!   `if TRACED`, so the untraced instantiations compile the plumbing
 //!   out entirely (no `Option` checks, no side tables touched) and stay
-//!   benchmark-neutral, while the traced instantiations emit the
-//!   interpreter's [`crate::TraceEvent`] stream event for event into any
-//!   [`TraceSink`] (an in-memory [`crate::TraceLog`], a streaming
-//!   [`crate::sbt::SbtWriter`], …). Tracing needs the frame-global
-//!   package index the fast core otherwise elides (see "No package
-//!   indices" below), so the traced instantiations reconstruct it in
-//!   side tables keyed the only way packages can be in flight: one
-//!   compute per producer (`cur_pkg`), a queue position per local
-//!   request (`sa_pkg`), a FIFO of in-flight serves per segment
-//!   (`intra_pkg`) and one entry per inter-segment transfer
-//!   (`tr_pkg`). Burst stepping is
-//!   disabled under `TRACED` (it elides the serve/deliver events
-//!   wholesale); every other elision drops only events whose handlers
-//!   emit nothing, so the surviving emission order is the
-//!   interpreter's — the differential test below checks equality event
-//!   for event across the policy matrix.
+//!   benchmark-neutral, while the traced instantiations emit the full
+//!   [`crate::TraceEvent`] stream into any [`TraceSink`] (an in-memory
+//!   [`crate::TraceLog`], a streaming [`crate::sbt::SbtWriter`], …).
+//!   Tracing needs the frame-global package index the fast core
+//!   otherwise elides (see "No package indices" below), so the traced
+//!   instantiations reconstruct it in side tables keyed the only way
+//!   packages can be in flight: one compute per producer (`cur_pkg`), a
+//!   queue position per local request (`sa_pkg`), a FIFO of in-flight
+//!   serves per segment (`intra_pkg`) and one entry per inter-segment
+//!   transfer (`tr_pkg`). Burst stepping is disabled under `TRACED` (it
+//!   elides the serve/deliver events wholesale); every other elision
+//!   drops only events whose handlers emit nothing.
 //! * **Flat SoA scratch** — producer state (`pending`/`rr`/`busy`) and
 //!   process bookkeeping (`remaining out`/`in`) are parallel arrays
 //!   indexed by the [`EnginePlan`]'s dense ids instead of arrays of
@@ -51,14 +48,27 @@
 //! * **Sorted event ring** — pending events live in a vector sorted by
 //!   descending timestamp, so popping the minimum is `Vec::pop`.
 //!   Insertion binary-searches to the *leftmost* slot among equal
-//!   timestamps, which makes position encode the interpreter's sequence
-//!   numbers: among simultaneous events the earliest-scheduled sits
-//!   rightmost and pops first. The in-flight population is bounded by
-//!   `O(processes + segments)` (package-level flow control keeps at most
-//!   one compute/transfer event per producer), so the insertion memmove
-//!   stays within a few cache lines.
+//!   timestamps, which makes position encode the plain schedule's
+//!   sequence numbers: among simultaneous events the earliest-scheduled
+//!   sits rightmost and pops first. The in-flight population is bounded
+//!   by `O(processes + segments)` (package-level flow control keeps at
+//!   most one compute/transfer event per producer), so the insertion
+//!   memmove stays within a few cache lines.
+//! * **Inline FIFO dispatch** — a local request's dispatch attempt lands
+//!   at the compute end itself (computation ends on a segment-clock
+//!   edge). Under FIFO arbitration the serve order and serve times are a
+//!   function of arrival order and bus availability alone (a dispatch
+//!   that finds the bus busy, the segment reserved or the queue empty
+//!   touches no state and is re-triggered by the blocking event), so
+//!   running the attempt inline is report-identical and saves a queue
+//!   round-trip per local package. It is also the one elision that moves
+//!   trace events: the serve's `BusStart`/`BusEnd` are emitted before
+//!   same-instant events the plain schedule would pop first, so traces
+//!   agree with the reference as event *sets*, and the emission order is
+//!   pinned by golden digests instead. Priority-based policies pick by
+//!   queue *content* at dispatch time and keep the event.
 //! * **Fused serve chains** — when a serve leaves the local queue
-//!   non-empty, the interpreter schedules a follow-up dispatch at the
+//!   non-empty, the plain schedule queues a follow-up dispatch at the
 //!   transaction end: an event at the same `(time, seq)` neighbourhood
 //!   as the `IntraDone` it just scheduled. Because the two carry
 //!   consecutive sequence numbers, no third event can pop between them,
@@ -67,7 +77,7 @@
 //!   instead of two.
 //! * **Dispatch dedup** — a dispatch attempt that finds the bus busy
 //!   re-schedules itself at `bus_free`; under sustained contention the
-//!   interpreter accumulates *parasite* retries (each pops, finds the
+//!   plain schedule accumulates *parasite* retries (each pops, finds the
 //!   bus claimed again by the serve chain, and re-propagates until the
 //!   queue drains). A retry/chain is a no-op or a propagation unless it
 //!   is the first dispatch to pop at its timestamp, so the fast core
@@ -92,31 +102,33 @@
 //!   be inserted at or before its timestamp (dispatch dedup markers
 //!   always back already-queued events). The fast core detects this at
 //!   schedule time and runs the handler inline, skipping the round-trip.
-//! * **No package indices** — the interpreter threads a global package
+//! * **No package indices** — the plain schedule threads a global package
 //!   index through every event only to divide it back into a frame
 //!   number at delivery. The frame is already known when the package is
 //!   picked from the producer's pending list, so the fast core carries
 //!   the frame itself (29 bits of the packed event) and the per-package
 //!   division disappears.
 //! * **Batch frame stepping** — multi-frame runs arm frame 0 exactly like
-//!   the interpreter (the first package picks must see frame 0's pending
-//!   entries only), then collapse the arming passes of frames 1.. into
-//!   plain pending appends. This is provably order-identical: all frames
-//!   arm at `t = 0` before any event pops, and after frame 0's kick every
-//!   wave-0 producer is busy, so the interpreter's later kick scans are
+//!   the plain schedule (the first package picks must see frame 0's
+//!   pending entries only), then collapse the arming passes of frames 1..
+//!   into plain pending appends. This is provably order-identical: all
+//!   frames arm at `t = 0` before any event pops, and after frame 0's
+//!   kick every wave-0 producer is busy, so the later kick scans are
 //!   no-ops (the batch falls back to per-frame arming in the degenerate
 //!   empty-first-wave case, where completing the instance cascades into
 //!   later waves).
 //!
 //! **Bit-identity contract.** For every PSM, frame count and
 //! configuration, the fast core produces an [`EmulationReport`] equal to
-//! the interpreter's field for field. Every surviving event is scheduled
-//! in the same program order (so tie-breaks coincide), every elided
-//! event is one whose handler could not have changed state, and every
-//! timestamp is computed by the same strength-reduced arithmetic
-//! ([`crate::engine::FastClock`]). The differential tests below and the
-//! fuzz harness arm in `tests/fuzz_differential.rs` enforce the contract
-//! across all arbitration × release modes.
+//! [`crate::ReferenceEmulator`]'s field for field, and a trace with the
+//! same events. Every surviving event is scheduled in the same program
+//! order (so tie-breaks coincide), every elided event is one whose
+//! handler could not have changed state, and every timestamp is computed
+//! by the same strength-reduced arithmetic ([`crate::engine::FastClock`]).
+//! The tests below, `tests/trace_differential.rs` and the fuzz harness in
+//! `tests/fuzz_differential.rs` enforce the contract across all
+//! arbitration × release modes; committed golden digests pin the trace
+//! emission order.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -134,13 +146,13 @@ use crate::trace::{TraceEvent, TraceKind, TraceSink};
 // compile-time policies
 
 /// Local-bus arbitration, resolved at monomorphisation time. `pick`
-/// mirrors the interpreter's `min_by_key` selections exactly: the keys
+/// mirrors the reference's `min_by_key` selections exactly: the keys
 /// below are made unambiguous by the queue index tie-break, and the scan
 /// keeps the earliest index among equal primary keys.
 trait Arbitration {
     /// `true` exactly for [`ArbitrationPolicy::Fifo`]: a dispatch attempt
-    /// landing on the current clock edge may run inline (see the
-    /// interpreter's `on_compute_done` for the argument).
+    /// landing on the current clock edge may run inline (see "Inline
+    /// FIFO dispatch" in the module docs).
     const FIFO: bool;
     /// Index of the request to serve next (queue is non-empty).
     fn pick(queue: &VecDeque<LocalReq>, flow_src: &[ProcessId], served: &[u64]) -> usize;
@@ -210,7 +222,7 @@ impl Release for RelLocal {
 // ---------------------------------------------------------------------------
 // events and scratch
 
-/// The interpreter's event alphabet, hand-packed into one `u64` so a
+/// The plain schedule's event alphabet, hand-packed into one `u64` so a
 /// queue entry is exactly 16 bytes: tag in bits 0..3, a 32-bit field in
 /// bits 3..35 (flow / segment / request id) and a 29-bit field in bits
 /// 35..64 (`frame << 1 | chain` for `IntraDone`, the hop for
@@ -274,7 +286,7 @@ struct InterTransfer {
 }
 
 /// Every mutable array of a fast-core run, kept allocated between runs
-/// (same reuse contract as the interpreter's scratch). Producer and
+/// (the reuse contract of [`crate::Engine`]). Producer and
 /// process state is stored as parallel columns indexed by the plan's
 /// dense ids; the `*_ps` tables are the precomputed per-flow/per-segment
 /// picosecond slices described in the module docs.
@@ -417,8 +429,7 @@ impl FastScratch {
         self.makespan = Picos::ZERO;
 
         // Precomputed schedule slices: every run-invariant ticks × period
-        // product, evaluated by the exact multiply the interpreter's
-        // `FastClock::ticks_to_picos` would perform per event.
+        // product, evaluated once per run instead of once per event.
         self.flow_compute_ps.clear();
         for i in 0..plan.flow_src.len() {
             let seg = plan.proc_seg[plan.flow_src[i].index()];
@@ -441,10 +452,10 @@ impl FastScratch {
 
 /// Execute `plan` on the fast core. Dispatches once over the
 /// arbitration × release matrix to the matching monomorphised loop; the
-/// report is bit-identical to the interpreter's.
+/// report is bit-identical to [`crate::ReferenceEmulator`]'s.
 ///
 /// # Panics
-/// Panics if `frames` is zero (same contract as the interpreter).
+/// Panics if `frames` is zero.
 pub(crate) fn run_fast(
     plan: &EnginePlan,
     sc: &mut FastScratch,
@@ -482,14 +493,13 @@ pub(crate) fn run_fast(
 }
 
 /// [`run_fast`] with trace emission: the traced instantiations stream
-/// the interpreter's exact event sequence into `sink` as the run
-/// executes. The report is bit-identical to [`run_fast`]'s (and the
-/// interpreter's); `report.trace` stays `None` — the events went to the
+/// every trace event into `sink` as the run executes. The report is
+/// bit-identical to [`run_fast`]'s; `report.trace` stays `None` — the events went to the
 /// sink, which may be an in-memory [`crate::TraceLog`] or a streaming
 /// [`crate::sbt::SbtWriter`].
 ///
 /// # Panics
-/// Panics if `frames` is zero (same contract as the interpreter).
+/// Panics if `frames` is zero.
 pub(crate) fn run_fast_traced(
     plan: &EnginePlan,
     sc: &mut FastScratch,
@@ -583,7 +593,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
 
     /// Insert at the leftmost slot among equal timestamps: among
     /// simultaneous events the earliest-scheduled sits rightmost and
-    /// [`Self::pop`] takes it first, which reproduces the interpreter's
+    /// [`Self::pop`] takes it first, which reproduces the plain schedule's
     /// `(time, seq)` order without materialising sequence numbers.
     #[inline(always)]
     fn schedule(&mut self, at: Picos, ev: u64) {
@@ -637,17 +647,17 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
         let plan = self.plan;
         if plan.waves[0].is_empty() {
             // An empty first wave completes immediately and cascades into
-            // later waves per frame; keep the interpreter's literal order.
+            // later waves per frame; keep the plain schedule's order.
             for frame in 0..self.frames {
                 self.start_instance(frame as usize * plan.waves.len(), Picos::ZERO);
             }
             return;
         }
-        // Frame 0 arms and kicks exactly like the interpreter — the first
+        // Frame 0 arms and kicks exactly like the plain schedule — the first
         // package picks (and their round-robin cursor updates) must see
         // frame 0's pending entries only.
         self.start_instance(0, Picos::ZERO);
-        // Every wave-0 producer is now busy, so the interpreter's kick
+        // Every wave-0 producer is now busy, so the later frames' kick
         // scans for frames 1.. are no-ops; batch the remaining arming
         // passes into plain pending appends. No event has popped yet, so
         // the appends land before any further pick, as they do there.
@@ -700,7 +710,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
     }
 
     /// Round-robin pick of the producer's next package, with the
-    /// interpreter's exact cursor updates, and account its compute
+    /// reference's exact cursor updates, and account its compute
     /// ticks. Returns `None` when nothing is pending.
     #[inline]
     fn pick_package(&mut self, pi: usize) -> Option<(FlowId, u32)> {
@@ -713,7 +723,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
         let idx = if rr < len { rr } else { rr % len };
         let (flow, remaining, frame) = pending[idx];
         if TRACED {
-            // Reconstruct the interpreter's frame-global package index
+            // Reconstruct the trace's frame-global package index
             // from the pre-decrement remaining count; one compute is in
             // flight per producer, so a single slot suffices.
             let pkgs = self.plan.flow_pkgs[flow.index()];
@@ -804,7 +814,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
                 self.sc.sa_pkg[si].push_back(pkg);
             }
             // Compute ends on an edge of the producer's own segment
-            // clock, so the interpreter's `next_edge(now)` is `now` and
+            // clock, so the dispatch edge `next_edge(now)` is `now` and
             // the FIFO inline-dispatch condition always holds.
             debug_assert_eq!(plan.fast_seg[si].next_edge(now), now);
             if A::FIFO {
@@ -833,7 +843,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
     /// is local and no delivery completes its wave instance. Under
     /// those conditions the compute → serve → deliver cycle is fully
     /// determined — every implied timestamp is a multiple of the
-    /// segment period, so the interpreter's per-cycle `next_edge` calls
+    /// segment period, so the plain schedule's per-cycle `next_edge` calls
     /// are all fixed points — and the burst steps packages in a tight
     /// loop with no event traffic at all: identical counter deltas,
     /// identical timestamps, identical round-robin picks. The real
@@ -898,7 +908,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
             fu.end = Some(e);
             self.sc.remaining_out[pi] -= 1;
             self.maybe_raise_flag(e, src);
-            // Pick the next package with the interpreter's round-robin.
+            // Pick the next package with the reference's round-robin.
             match self.pick_package(pi) {
                 None => {
                     self.sc.prod_busy[pi] = false;
@@ -1136,7 +1146,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
             self.request_ca_dispatch(self.plan.fast_ca.next_edge(now));
         }
         if chain {
-            // The fused serve chain: in the interpreter this is a
+            // The fused serve chain: in the plain schedule this is a
             // dispatch event with the sequence number right after this
             // IntraDone's, so nothing can pop in between and running it
             // here is order-identical.
@@ -1288,9 +1298,8 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
             sa.tct = plan.seg_clock[i].ticks_covering(sa.last_activity);
         }
         self.sc.ca.tct = plan.ca_clock.ticks_covering(self.sc.makespan);
-        // clone_from reuses the output report's allocations (see the
-        // interpreter's execute_into); the result is bit-identical to a
-        // freshly assembled report.
+        // clone_from reuses the output report's allocations; the result
+        // is bit-identical to a freshly assembled report.
         out.sas.clone_from(&self.sc.sas);
         out.ca = self.sc.ca;
         out.bus.clone_from(&self.sc.bus_ctr);
@@ -1308,30 +1317,15 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EngineKind;
     use crate::engine::Engine;
+    use crate::trace::TraceLog;
+    use crate::ReferenceEmulator;
     use segbus_model::mapping::{Allocation, Psm};
     use segbus_model::platform::Platform;
     use segbus_model::psdf::{Application, Flow, Process};
     use segbus_model::time::ClockDomain;
 
-    fn interpreter(cfg: EmulatorConfig) -> Engine {
-        Engine::new(EmulatorConfig {
-            engine: EngineKind::Interpreter,
-            ..cfg
-        })
-    }
-
-    fn fast(cfg: EmulatorConfig) -> Engine {
-        Engine::new(EmulatorConfig {
-            engine: EngineKind::Fast,
-            ..cfg
-        })
-    }
-
-    fn assert_identical(psm: &Psm, frames: u64, cfg: EmulatorConfig, label: &str) {
-        let a = interpreter(cfg).run_frames(psm, frames);
-        let b = fast(cfg).run_frames(psm, frames);
+    fn assert_same_report(a: &EmulationReport, b: &EmulationReport, label: &str) {
         assert_eq!(a.makespan, b.makespan, "{label}: makespan");
         assert_eq!(a.sas, b.sas, "{label}: sas");
         assert_eq!(a.ca, b.ca, "{label}: ca");
@@ -1339,7 +1333,32 @@ mod tests {
         assert_eq!(a.fus, b.fus, "{label}: fus");
         assert_eq!(a.bu_refs, b.bu_refs, "{label}: bu_refs");
         assert_eq!(a.segment_clocks, b.segment_clocks, "{label}: clocks");
-        assert_eq!(a.makespan, b.makespan, "{label}: makespan");
+    }
+
+    fn assert_identical(psm: &Psm, frames: u64, cfg: EmulatorConfig, label: &str) {
+        let a = ReferenceEmulator::new(cfg).run_frames(psm, frames);
+        let b = Engine::new(cfg).run_frames(psm, frames);
+        assert_same_report(&a, &b, label);
+    }
+
+    /// Traced runs: the fast core's report equals the reference's, and
+    /// both traces hold the same events (compared in canonical order —
+    /// the emission order is pinned by golden digests instead). Returns
+    /// the fast core's trace.
+    fn assert_same_trace(psm: &Psm, frames: u64, cfg: EmulatorConfig, label: &str) -> TraceLog {
+        let a = ReferenceEmulator::new(cfg).run_frames(psm, frames);
+        let b = Engine::new(cfg).run_frames(psm, frames);
+        assert_same_report(&a, &b, label);
+        let mut ta = a.trace.expect("reference trace").events().to_vec();
+        let tb = b.trace.expect("fast trace");
+        let mut sorted = tb.events().to_vec();
+        ta.sort();
+        sorted.sort();
+        assert_eq!(ta.len(), sorted.len(), "{label}: event count");
+        for (i, (x, y)) in ta.iter().zip(&sorted).enumerate() {
+            assert_eq!(x, y, "{label}: event {i} in canonical order");
+        }
+        tb
     }
 
     /// Mixed-shape PSM zoo: local + inter-segment + multi-wave +
@@ -1455,28 +1474,22 @@ mod tests {
         }
     }
 
-    /// A reused engine alternating cores and shapes must not leak state.
+    /// A reused engine cycling through shapes must not leak state.
     #[test]
     fn fast_scratch_reuse_is_bit_identical() {
         let mut engine = Engine::new(EmulatorConfig::default());
         for psm in shapes().iter().chain(shapes().iter().rev()) {
-            let fresh = interpreter(EmulatorConfig::default()).run(psm);
-            let reused = engine.run(psm);
-            assert_eq!(fresh.makespan, reused.makespan);
-            assert_eq!(fresh.sas, reused.sas);
-            assert_eq!(fresh.ca, reused.ca);
-            assert_eq!(fresh.bus, reused.bus);
-            assert_eq!(fresh.fus, reused.fus);
+            let fresh = ReferenceEmulator::new(EmulatorConfig::default()).run(psm);
+            assert_same_report(&fresh, &engine.run(psm), "reused engine");
         }
     }
 
-    /// The traced fast instantiations reproduce the interpreter's trace
-    /// **event for event** — same kinds, same timestamps, same
-    /// flow/package/process/segment payloads, same emission order —
-    /// across every shape, the full policy matrix, and multi-frame runs;
-    /// the reports stay bit-identical at the same time.
+    /// The traced fast instantiations record the reference's events —
+    /// same kinds, timestamps and flow/package/process/segment payloads —
+    /// across every shape, the full policy matrix and multi-frame runs,
+    /// with bit-identical reports at the same time.
     #[test]
-    fn traced_fast_core_matches_interpreter_event_for_event() {
+    fn traced_fast_core_matches_reference_events() {
         let arbs = [
             ArbitrationPolicy::Fifo,
             ArbitrationPolicy::FixedPriority,
@@ -1496,19 +1509,7 @@ mod tests {
                     };
                     for frames in [1, 3] {
                         let label = format!("{arbitration:?}/{producer_release:?}/f{frames}");
-                        let a = interpreter(cfg).run_frames(&psm, frames);
-                        let b = fast(cfg).run_frames(&psm, frames);
-                        let ta = a.trace.as_ref().expect("interpreter trace").events();
-                        let tb = b.trace.as_ref().expect("fast trace").events();
-                        assert_eq!(ta.len(), tb.len(), "{label}: event count");
-                        for (i, (x, y)) in ta.iter().zip(tb.iter()).enumerate() {
-                            assert_eq!(x, y, "{label}: event {i}");
-                        }
-                        assert_eq!(a.makespan, b.makespan, "{label}: makespan");
-                        assert_eq!(a.sas, b.sas, "{label}: sas");
-                        assert_eq!(a.ca, b.ca, "{label}: ca");
-                        assert_eq!(a.bus, b.bus, "{label}: bus");
-                        assert_eq!(a.fus, b.fus, "{label}: fus");
+                        assert_same_trace(&psm, frames, cfg, &label);
                     }
                 }
             }
@@ -1516,21 +1517,29 @@ mod tests {
     }
 
     /// Traced detailed timing exercises the BU synchroniser trace sites.
+    /// The emission order is pinned by golden digests of the event
+    /// stream ([`TraceLog::digest`]), one `(application, events, digest)`
+    /// row per shape.
     #[test]
     fn traced_fast_core_matches_under_detailed_timing() {
+        const GOLDEN: [(&str, usize, u64); 5] = [
+            ("pair", 54, 0x618d_c4b4_e35b_07f9),
+            ("remote", 186, 0xeb25_1982_4b21_e5c1),
+            ("flood", 186, 0xa8ea_c2cc_0599_2e4c),
+            ("waves", 133, 0xe9ba_3b7c_c2f6_4085),
+            ("mp3-decoder", 2543, 0x1c0e_aef9_0e5e_352f),
+        ];
         let cfg = EmulatorConfig {
             trace: true,
             ..EmulatorConfig::detailed()
         };
-        for psm in shapes() {
-            let a = interpreter(cfg).run_frames(&psm, 2);
-            let b = fast(cfg).run_frames(&psm, 2);
-            assert_eq!(
-                a.trace.as_ref().unwrap().events(),
-                b.trace.as_ref().unwrap().events(),
-                "detailed traced"
-            );
-            assert_eq!(a.makespan, b.makespan);
+        let shapes = shapes();
+        assert_eq!(shapes.len(), GOLDEN.len(), "every shape has a golden row");
+        for (psm, (name, events, digest)) in shapes.iter().zip(GOLDEN) {
+            assert_eq!(psm.application().name(), name);
+            let trace = assert_same_trace(psm, 2, cfg, name);
+            assert_eq!(trace.len(), events, "{name}: event count");
+            assert_eq!(trace.digest(), digest, "{name}: emission order");
         }
     }
 
@@ -1540,14 +1549,14 @@ mod tests {
     fn traced_fast_core_streams_to_sbt() {
         use crate::sbt::{read_trace, SbtWriter};
         let psm = segbus_apps::mp3::three_segment_psm();
-        let in_memory = fast(EmulatorConfig::traced()).run_frames(&psm, 2);
+        let in_memory = Engine::new(EmulatorConfig::traced()).run_frames(&psm, 2);
         let dir = std::env::temp_dir().join(format!("fast-sbt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mp3.sbt");
         let mut sink = SbtWriter::create(&path, 3, 10).unwrap();
         let plan = EnginePlan::new(&psm);
         let streamed = {
-            let mut engine = fast(EmulatorConfig::traced());
+            let mut engine = Engine::new(EmulatorConfig::traced());
             engine.run_plan_with_sink(&plan, 2, &mut sink)
         };
         sink.finish().unwrap();
@@ -1560,7 +1569,7 @@ mod tests {
 
     /// Deep frame pipelining through the batched arming path.
     #[test]
-    fn batched_frame_arming_matches_interpreter() {
+    fn batched_frame_arming_matches_reference() {
         let psm = segbus_apps::mp3::three_segment_psm();
         for frames in [1, 2, 7, 16] {
             assert_identical(&psm, frames, EmulatorConfig::default(), "frames");

@@ -47,7 +47,6 @@ pub mod montecarlo;
 pub mod parallel;
 pub mod persist;
 pub mod precheck;
-pub mod queue;
 pub mod reference;
 pub mod report;
 pub mod sbt;
@@ -60,7 +59,7 @@ pub use analysis::{
     BusAnalysis, BusUtilisation, LatencyStats, SegmentActivity,
 };
 pub use cache::{job_digest, job_digest_from, BatchJob, CacheStats, CachedPool, ReportCache};
-pub use config::{ArbitrationPolicy, EmulatorConfig, EngineKind, ProducerRelease, TimingParams};
+pub use config::{ArbitrationPolicy, EmulatorConfig, ProducerRelease, TimingParams};
 pub use counters::{BuCounters, CaCounters, FuTimes, SaCounters};
 pub use energy::{estimate_energy, EnergyBreakdown, EnergyModel};
 pub use engine::{Emulator, Engine, EnginePlan, LowerBoundScratch, PlanDelta};
@@ -69,7 +68,6 @@ pub use montecarlo::{run_monte_carlo, McOptions, McReport, McStats, UtilisationS
 pub use parallel::{run_many, run_many_with, SweepPool};
 pub use persist::DiskStore;
 pub use precheck::{is_emulable, strict_validate};
-pub use queue::QueueKind;
 pub use reference::ReferenceEmulator;
 pub use report::EmulationReport;
 pub use sbt::{read_trace, SbtTrace, SbtWriter};

@@ -1,14 +1,19 @@
-//! The original estimation engine, kept verbatim as a reference.
+//! The original estimation engine, kept verbatim as the oracle.
 //!
 //! This is the first implementation of the emulator (fresh state per run,
 //! `BinaryHeap` event queue, owned path vectors in every transfer). The
-//! optimised engine in [`crate::engine`] replaced it on the hot path, and
-//! this copy stays for two jobs:
+//! specialised core in [`crate::fast`] replaced it on the hot path, and
+//! this copy is the only other implementation in the repo, with two jobs:
 //!
-//! * **differential oracle** — the integration tests assert the optimised
-//!   engine is bit-identical to this one on full system runs;
+//! * **oracle** — the differential tests (`fast.rs`, the core crate's
+//!   `tests/differential.rs`, and the workspace's `trace_differential`
+//!   and `fuzz_differential` suites) assert that the fast core reproduces
+//!   its reports, rejection codes and trace events exactly. Trace
+//!   *emission order* may differ under FIFO arbitration (see "Inline
+//!   FIFO dispatch" in [`crate::fast`]), so committed golden digests pin
+//!   the fast core's order instead;
 //! * **performance baseline** — the `exp_perf` harness times it to anchor
-//!   the speedup figures in `BENCH_engine.json`.
+//!   the speedup figure in `BENCH_engine.json`.
 //!
 //! Apart from the type rename (`Emulator` → [`ReferenceEmulator`]), this
 //! header and the additive `try_run`/`try_run_frames` wrappers (which run

@@ -6,9 +6,10 @@
 
 use segbus_model::ids::{FlowId, ProcessId, SegmentId};
 use segbus_model::time::Picos;
+use segbus_model::Fnv64;
 
 /// What happened.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum TraceKind {
     /// A producer started computing a package.
     ComputeStart,
@@ -30,8 +31,9 @@ pub enum TraceKind {
     WaveComplete,
 }
 
-/// One trace record.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// One trace record. The derived order (time, kind, then the payload
+/// fields) is the canonical order used to compare traces as event sets.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct TraceEvent {
     /// Global time of the event.
     pub at: Picos,
@@ -96,6 +98,35 @@ impl TraceLog {
     /// `true` if nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// FNV-64 of the events in emission order: each event's timestamp,
+    /// kind index and payload fields, an absent field hashed as a `0` tag
+    /// byte and a present one as `1` plus its value. Golden tests pin
+    /// trace order with it.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv64::new();
+        for e in &self.events {
+            h.write_u64(e.at.0);
+            h.write_u8(e.kind as u8);
+            h.write_u8(e.flow.is_some() as u8);
+            if let Some(f) = e.flow {
+                h.write_u32(f.0);
+            }
+            h.write_u8(e.package.is_some() as u8);
+            if let Some(p) = e.package {
+                h.write_u64(p);
+            }
+            h.write_u8(e.process.is_some() as u8);
+            if let Some(p) = e.process {
+                h.write_u32(p.0);
+            }
+            h.write_u8(e.segment.is_some() as u8);
+            if let Some(s) = e.segment {
+                h.write_u32(u32::from(s.0));
+            }
+        }
+        h.finish()
     }
 
     /// Events of one kind.

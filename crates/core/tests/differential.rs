@@ -1,10 +1,10 @@
-//! Differential tests for the engine's event queues: the indexed
-//! calendar queue must be bit-identical to the reference binary heap on
-//! full system runs — the paper's E2 MP3 configuration and a spread of
-//! generated graph shapes — the optimised engine must reproduce the
-//! vendored pre-optimisation reference engine exactly (including under
-//! every arbitration and flow-control policy, which gate its internal
-//! shortcuts), and the sweep pool must not depend on its thread count.
+//! Differential tests of the engine against its oracle: the fast core
+//! must reproduce the vendored pre-optimisation [`ReferenceEmulator`]
+//! exactly on full system runs — the paper's E2 MP3 configuration and a
+//! spread of generated graph shapes — under every arbitration and
+//! flow-control policy (which gate the fast core's internal shortcuts),
+//! for single- and multi-frame runs, and whatever the sweep pool's
+//! thread count.
 
 use segbus_apps::generators::{
     block_allocation, chain, diamond, random_layered, round_robin_allocation, uniform_platform,
@@ -12,50 +12,14 @@ use segbus_apps::generators::{
 };
 use segbus_apps::mp3;
 use segbus_core::{
-    ArbitrationPolicy, Emulator, EmulatorConfig, ProducerRelease, QueueKind, ReferenceEmulator,
+    ArbitrationPolicy, EmulationReport, EmulatorConfig, ProducerRelease, ReferenceEmulator,
     SweepPool,
 };
 use segbus_model::mapping::Psm;
 
-fn configs() -> (EmulatorConfig, EmulatorConfig) {
-    let indexed = EmulatorConfig {
-        queue: QueueKind::Indexed,
-        ..EmulatorConfig::default()
-    };
-    let heap = EmulatorConfig {
-        queue: QueueKind::BinaryHeap,
-        ..EmulatorConfig::default()
-    };
-    (indexed, heap)
-}
-
-/// Every observable of the run must agree, not just the makespan: the
-/// two queue implementations against each other, and the optimised
-/// engine against the vendored pre-optimisation reference.
-fn assert_identical(psm: &Psm, label: &str) {
-    let (indexed, heap) = configs();
-    assert_identical_under(psm, indexed, heap, label);
-}
-
-fn assert_identical_under(psm: &Psm, indexed: EmulatorConfig, heap: EmulatorConfig, label: &str) {
-    let a = Emulator::new(indexed).run(psm);
-    let b = Emulator::new(heap).run(psm);
-    let r = ReferenceEmulator::new(heap).run(psm);
-    for (x, against) in [(&b, "heap"), (&r, "reference")] {
-        assert_eq!(a.makespan, x.makespan, "{label} vs {against}: makespan");
-        assert_eq!(a.sas, x.sas, "{label} vs {against}: SA stats");
-        assert_eq!(a.ca, x.ca, "{label} vs {against}: CA stats");
-        assert_eq!(a.bus, x.bus, "{label} vs {against}: bus counters");
-        assert_eq!(a.fus, x.fus, "{label} vs {against}: FU counters");
-    }
-}
-
-/// The engine specialises its event flow per arbitration policy (FIFO
-/// dispatches on the arrival edge inline); every policy and producer
-/// release mode must still reproduce the reference engine exactly.
-#[test]
-fn all_policies_match_the_reference_engine() {
-    let psm = mp3::three_segment_psm();
+/// Every arbitration × release policy pair.
+fn policies() -> Vec<EmulatorConfig> {
+    let mut out = Vec::new();
     for arbitration in [
         ArbitrationPolicy::Fifo,
         ArbitrationPolicy::FixedPriority,
@@ -65,80 +29,109 @@ fn all_policies_match_the_reference_engine() {
             ProducerRelease::AfterDelivery,
             ProducerRelease::AfterLocalPhase,
         ] {
-            let indexed = EmulatorConfig {
+            out.push(EmulatorConfig {
                 arbitration,
                 producer_release,
                 ..EmulatorConfig::default()
-            };
-            let heap = EmulatorConfig {
-                queue: QueueKind::BinaryHeap,
-                ..indexed
-            };
-            assert_identical_under(
-                &psm,
-                indexed,
-                heap,
-                &format!("{arbitration:?}/{producer_release:?}"),
-            );
+            });
+        }
+    }
+    out
+}
+
+/// Every observable of the run must agree, not just the makespan.
+fn assert_same(a: &EmulationReport, r: &EmulationReport, label: &str) {
+    assert_eq!(a.makespan, r.makespan, "{label}: makespan");
+    assert_eq!(a.sas, r.sas, "{label}: SA stats");
+    assert_eq!(a.ca, r.ca, "{label}: CA stats");
+    assert_eq!(a.bus, r.bus, "{label}: bus counters");
+    assert_eq!(a.fus, r.fus, "{label}: FU counters");
+}
+
+/// Run `psms` on sweep pools of 1, 2 and 4 workers under every policy
+/// and frame count, and compare each report with the reference's.
+fn assert_matches_reference(psms: &[(String, Psm)], frame_counts: &[u64]) {
+    for cfg in policies() {
+        let expected: Vec<Vec<EmulationReport>> = psms
+            .iter()
+            .map(|(_, psm)| {
+                frame_counts
+                    .iter()
+                    .map(|&f| ReferenceEmulator::new(cfg).run_frames(psm, f))
+                    .collect()
+            })
+            .collect();
+        for threads in [1usize, 2, 4] {
+            let pool = SweepPool::with_threads(cfg, threads);
+            let got = pool.sweep_with(psms, |engine, (_, psm)| {
+                frame_counts
+                    .iter()
+                    .map(|&f| engine.run_frames(psm, f))
+                    .collect::<Vec<_>>()
+            });
+            for (((name, _), want), got) in psms.iter().zip(&expected).zip(&got) {
+                for ((frames, r), a) in frame_counts.iter().zip(want).zip(got) {
+                    let label = format!(
+                        "{name} {:?}/{:?} f{frames} on {threads} threads",
+                        cfg.arbitration, cfg.producer_release
+                    );
+                    assert_same(a, r, &label);
+                }
+            }
         }
     }
 }
 
-/// The paper's experiment-2 system: the MP3 decoder on three segments.
+/// The paper's MP3 systems, including the experiment-2 mapping.
 #[test]
-fn mp3_three_segment_run_is_queue_invariant() {
-    assert_identical(&mp3::three_segment_psm(), "mp3 E2");
-    assert_identical(&mp3::two_segment_psm(), "mp3 two-segment");
-    assert_identical(&mp3::three_segment_p9_moved_psm(), "mp3 P9 moved");
+fn mp3_systems_match_the_reference() {
+    let psms = vec![
+        ("mp3 E2".to_string(), mp3::three_segment_psm()),
+        ("mp3 two-segment".to_string(), mp3::two_segment_psm()),
+        (
+            "mp3 P9 moved".to_string(),
+            mp3::three_segment_p9_moved_psm(),
+        ),
+    ];
+    assert_matches_reference(&psms, &[1, 2]);
 }
 
 /// Chains stress sequential dependencies; diamonds (fork-join) stress
 /// simultaneous arbitration, where tie-breaking order is most fragile.
 #[test]
-fn generated_graphs_are_queue_invariant() {
+fn generated_graphs_match_the_reference() {
     let cfg = GeneratorConfig::default();
+    let mut psms = Vec::new();
     for segments in [2usize, 3] {
         let app = chain(8, cfg);
-        let psm = Psm::new(
-            uniform_platform(segments, 36),
-            app.clone(),
-            block_allocation(&app, segments),
-        )
-        .unwrap();
-        assert_identical(&psm, &format!("chain/{segments}"));
-
+        let alloc = block_allocation(&app, segments);
+        psms.push((
+            format!("chain/{segments}"),
+            Psm::new(uniform_platform(segments, 36), app, alloc).unwrap(),
+        ));
         let app = diamond(4, cfg);
-        let psm = Psm::new(
-            uniform_platform(segments, 36),
-            app.clone(),
-            round_robin_allocation(&app, segments),
-        )
-        .unwrap();
-        assert_identical(&psm, &format!("diamond/{segments}"));
+        let alloc = round_robin_allocation(&app, segments);
+        psms.push((
+            format!("diamond/{segments}"),
+            Psm::new(uniform_platform(segments, 36), app, alloc).unwrap(),
+        ));
     }
     for seed in 0..6u64 {
         let app = random_layered(3, 3, seed, cfg);
-        let psm = Psm::new(
-            uniform_platform(3, 36),
-            app.clone(),
-            round_robin_allocation(&app, 3),
-        )
-        .unwrap();
-        assert_identical(&psm, &format!("layered/{seed}"));
+        let alloc = round_robin_allocation(&app, 3);
+        psms.push((
+            format!("layered/{seed}"),
+            Psm::new(uniform_platform(3, 36), app, alloc).unwrap(),
+        ));
     }
+    assert_matches_reference(&psms, &[1, 2]);
 }
 
-/// Streaming runs exercise frame pipelining through both queues.
+/// Deeper streaming runs exercise frame pipelining.
 #[test]
-fn streaming_runs_are_queue_invariant() {
-    let (indexed, heap) = configs();
-    let psm = mp3::three_segment_psm();
-    for frames in [2u64, 5] {
-        let a = Emulator::new(indexed).run_frames(&psm, frames);
-        let b = Emulator::new(heap).run_frames(&psm, frames);
-        assert_eq!(a.makespan, b.makespan, "frames {frames}");
-        assert_eq!(a.fus, b.fus, "frames {frames}");
-    }
+fn streaming_runs_match_the_reference() {
+    let psms = vec![("mp3 E2".to_string(), mp3::three_segment_psm())];
+    assert_matches_reference(&psms, &[2, 5]);
 }
 
 /// The pool computes, the thread count only schedules: sweeping the same

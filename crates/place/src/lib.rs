@@ -141,7 +141,7 @@ impl<'a> PlaceTool<'a> {
     /// rebuilds its model and is evaluated from scratch. Search results
     /// are bit-identical either way (the delta paths are exact and the
     /// bound is admissible); this is a diagnostics and benchmarking
-    /// escape hatch, like the interpreter engine.
+    /// escape hatch.
     pub fn with_incremental(mut self, incremental: bool) -> Self {
         self.incremental = incremental;
         self

@@ -1,37 +1,30 @@
 //! P1 — engine throughput: a 256-run package-size × clock sweep on the
-//! MP3 decoder, timing three engine generations against each other.
+//! MP3 decoder, timing the engine against its reference.
 //!
 //! * **baseline** — exactly the pre-optimisation sweep shape: every row
 //!   builds its platform/PSM from scratch and runs the vendored
 //!   [`ReferenceEmulator`] (the seed engine, binary-heap queue, all
 //!   lookup tables rebuilt per run), sequentially.
-//! * **interpreter** — the general event-loop interpreter with every
-//!   shipped optimisation: one [`EnginePlan`] compiled per distinct
-//!   configuration and reused across the repetitions by a pool worker's
-//!   persistent engine (indexed calendar queue, scratch state reset
-//!   between runs), fanned out on [`SweepPool`].
-//! * **fast** — the specialised core (`segbus_core::fast`, the default
-//!   engine): same plan/pool harness as the interpreter leg, with the
+//! * **fast** — the engine (`segbus_core::fast`): one [`EnginePlan`]
+//!   compiled per distinct configuration and reused across the
+//!   repetitions by a pool worker's persistent engine (scratch state
+//!   reset between runs), fanned out on [`SweepPool`], with the
 //!   monomorphised arbitration/release loop, SoA scratch and precomputed
 //!   schedule slices.
 //!
-//! The three legs are interleaved in rounds so machine-speed drift hits
-//! all equally, the whole sweep is repeated for a handful of passes and
-//! the median pass is recorded (one pass is only ~30 ms per leg — short
-//! enough for a scheduler hiccup to swing the ratio), and every triple of
-//! reports is asserted identical — the harness doubles as a coarse
-//! differential test. The result lands in `BENCH_engine.json` next to a
-//! human-readable summary on stdout; `runs_per_sec` remains the
-//! interpreter number (comparable with the file's history) and
-//! `fast_runs_per_sec` is the fast core, both gated by
+//! The two legs are interleaved in rounds so machine-speed drift hits
+//! both equally, the whole sweep is repeated for a handful of passes and
+//! the median pass is recorded (one pass is only a few ms per leg —
+//! short enough for a scheduler hiccup to swing the ratio), and every
+//! pair of reports is asserted identical — the harness doubles as a
+//! coarse differential test. The result lands in `BENCH_engine.json` next
+//! to a human-readable summary on stdout; `fast_runs_per_sec` is gated by
 //! `scripts/bench_gate.sh`.
 
 use std::time::{Duration, Instant};
 
 use segbus_apps::mp3;
-use segbus_core::{
-    EmulatorConfig, EngineKind, EnginePlan, QueueKind, ReferenceEmulator, SweepPool,
-};
+use segbus_core::{EmulatorConfig, EnginePlan, ReferenceEmulator, SweepPool};
 use segbus_model::mapping::Psm;
 use segbus_model::time::ClockDomain;
 
@@ -67,34 +60,21 @@ fn main() {
         .collect();
     let runs = grid.len() * REPS;
 
-    let heap_cfg = EmulatorConfig {
-        queue: QueueKind::BinaryHeap,
-        ..EmulatorConfig::default()
-    };
-    let interp_pool = SweepPool::new(EmulatorConfig {
-        engine: EngineKind::Interpreter,
-        ..EmulatorConfig::default()
-    });
-    let fast_pool = SweepPool::new(EmulatorConfig {
-        engine: EngineKind::Fast,
-        ..EmulatorConfig::default()
-    });
+    let config = EmulatorConfig::default();
+    let fast_pool = SweepPool::new(config);
 
     // Warm-up pass so no leg pays first-touch costs.
     {
         let psm = build_psm(SIZES[0], FACTORS[0]);
-        let _ = ReferenceEmulator::new(heap_cfg).run(&psm);
-        let _ = interp_pool.sweep(std::slice::from_ref(&psm));
+        let _ = ReferenceEmulator::new(config).run(&psm);
         let _ = fast_pool.sweep(std::slice::from_ref(&psm));
     }
 
     let mut timings = Vec::with_capacity(PASSES);
     for pass in 0..PASSES {
         let mut baseline = Vec::with_capacity(runs);
-        let mut interp = Vec::with_capacity(runs);
         let mut fast = Vec::with_capacity(runs);
         let mut baseline_time = Duration::ZERO;
-        let mut interp_time = Duration::ZERO;
         let mut fast_time = Duration::ZERO;
 
         for round in grid.chunks(ROUND) {
@@ -104,25 +84,13 @@ fn main() {
             for &(s, f) in round {
                 for _ in 0..REPS {
                     let psm = build_psm(s, f);
-                    baseline.push(ReferenceEmulator::new(heap_cfg).run(&psm));
+                    baseline.push(ReferenceEmulator::new(config).run(&psm));
                 }
             }
             baseline_time += t.elapsed();
 
-            // Interpreter leg: each pool job compiles one plan and reuses
-            // it (and the worker's engine scratch) for all repetitions.
-            let t = Instant::now();
-            let reports = interp_pool.sweep_with(round, |engine, &(s, f)| {
-                let psm = build_psm(s, f);
-                let plan = EnginePlan::new(&psm);
-                (0..REPS)
-                    .map(|_| engine.run_plan(&plan, 1))
-                    .collect::<Vec<_>>()
-            });
-            interp_time += t.elapsed();
-            interp.extend(reports.into_iter().flatten());
-
-            // Fast leg: identical harness, specialised core.
+            // Fast leg: each pool job compiles one plan and reuses it
+            // (and the worker's engine scratch) for all repetitions.
             let t = Instant::now();
             let reports = fast_pool.sweep_with(round, |engine, &(s, f)| {
                 let psm = build_psm(s, f);
@@ -136,54 +104,44 @@ fn main() {
         }
 
         assert_eq!(baseline.len(), runs);
-        for (i, ((a, b), c)) in baseline.iter().zip(&interp).zip(&fast).enumerate() {
-            assert_eq!(a.makespan, b.makespan, "run {i} diverged (interpreter)");
-            assert_eq!(a.sas, b.sas, "run {i} diverged (interpreter)");
-            assert_eq!(a.ca, b.ca, "run {i} diverged (interpreter)");
-            assert_eq!(a.bus, b.bus, "run {i} diverged (interpreter)");
-            assert_eq!(a.fus, b.fus, "run {i} diverged (interpreter)");
-            assert_eq!(b.makespan, c.makespan, "run {i} diverged (fast)");
-            assert_eq!(b.sas, c.sas, "run {i} diverged (fast)");
-            assert_eq!(b.ca, c.ca, "run {i} diverged (fast)");
-            assert_eq!(b.bus, c.bus, "run {i} diverged (fast)");
-            assert_eq!(b.fus, c.fus, "run {i} diverged (fast)");
+        assert_eq!(fast.len(), runs);
+        for (i, (a, b)) in baseline.iter().zip(&fast).enumerate() {
+            assert_eq!(a.makespan, b.makespan, "run {i} diverged");
+            assert_eq!(a.sas, b.sas, "run {i} diverged");
+            assert_eq!(a.ca, b.ca, "run {i} diverged");
+            assert_eq!(a.bus, b.bus, "run {i} diverged");
+            assert_eq!(a.fus, b.fus, "run {i} diverged");
         }
 
-        let ratio = interp_time.as_secs_f64() / fast_time.as_secs_f64();
-        println!("  pass {pass}: fast {ratio:.2}x over interpreter");
-        timings.push((baseline_time, interp_time, fast_time));
+        let ratio = baseline_time.as_secs_f64() / fast_time.as_secs_f64();
+        println!("  pass {pass}: fast {ratio:.2}x over baseline");
+        timings.push((baseline_time, fast_time));
     }
 
-    // Median pass by fast-over-interpreter ratio — robust to a scheduler
-    // hiccup landing in any leg of a single pass.
+    // Median pass by fast-over-baseline ratio — robust to a scheduler
+    // hiccup landing in either leg of a single pass.
     timings.sort_by(|a, b| {
-        let ra = a.1.as_secs_f64() / a.2.as_secs_f64();
-        let rb = b.1.as_secs_f64() / b.2.as_secs_f64();
+        let ra = a.0.as_secs_f64() / a.1.as_secs_f64();
+        let rb = b.0.as_secs_f64() / b.1.as_secs_f64();
         ra.partial_cmp(&rb).unwrap()
     });
-    let (baseline_time, interp_time, fast_time) = timings[PASSES / 2];
+    let (baseline_time, fast_time) = timings[PASSES / 2];
 
     let baseline_ms = baseline_time.as_secs_f64() * 1e3;
-    let total_ms = interp_time.as_secs_f64() * 1e3;
     let fast_ms = fast_time.as_secs_f64() * 1e3;
     let baseline_rps = runs as f64 / (baseline_ms / 1e3);
-    let runs_per_sec = runs as f64 / (total_ms / 1e3);
     let fast_rps = runs as f64 / (fast_ms / 1e3);
-    let speedup = runs_per_sec / baseline_rps;
-    let fast_speedup = fast_rps / runs_per_sec;
+    let speedup = fast_rps / baseline_rps;
 
     println!("P1 — engine throughput ({} workers)\n", fast_pool.threads());
-    println!("  baseline    (per-row PSM build, reference engine, heap queue):");
+    println!("  baseline (per-row PSM build, reference engine, heap queue):");
     println!("      {runs} runs in {baseline_ms:.1} ms = {baseline_rps:.0} runs/s");
-    println!("  interpreter (plan reuse, indexed queue, sweep pool):");
-    println!("      {runs} runs in {total_ms:.1} ms = {runs_per_sec:.0} runs/s");
-    println!("  fast        (monomorphised core, SoA scratch, sweep pool):");
+    println!("  fast     (plan reuse, monomorphised core, SoA scratch, sweep pool):");
     println!("      {runs} runs in {fast_ms:.1} ms = {fast_rps:.0} runs/s");
-    println!("  interpreter over baseline: {speedup:.2}x");
-    println!("  fast over interpreter:     {fast_speedup:.2}x");
+    println!("  fast over baseline: {speedup:.2}x");
 
     let json = format!(
-        "{{\n  \"runs\": {runs},\n  \"total_ms\": {total_ms:.3},\n  \"runs_per_sec\": {runs_per_sec:.1},\n  \"fast_total_ms\": {fast_ms:.3},\n  \"fast_runs_per_sec\": {fast_rps:.1},\n  \"fast_speedup\": {fast_speedup:.2},\n  \"baseline_total_ms\": {baseline_ms:.3},\n  \"baseline_runs_per_sec\": {baseline_rps:.1},\n  \"speedup\": {speedup:.2},\n  \"threads\": {}\n}}\n",
+        "{{\n  \"runs\": {runs},\n  \"fast_total_ms\": {fast_ms:.3},\n  \"fast_runs_per_sec\": {fast_rps:.1},\n  \"baseline_total_ms\": {baseline_ms:.3},\n  \"baseline_runs_per_sec\": {baseline_rps:.1},\n  \"speedup\": {speedup:.2},\n  \"threads\": {}\n}}\n",
         fast_pool.threads()
     );
     std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");

@@ -1,7 +1,7 @@
 //! Push-based newline-delimited decoding with a hard per-line byte cap.
 //!
-//! Both serve cores feed raw socket bytes into a [`LineDecoder`] and
-//! drain complete lines out of it. Over-limit lines are *discarded as
+//! The serve core feeds raw socket bytes into a [`LineDecoder`] and
+//! drains complete lines out of it. Over-limit lines are *discarded as
 //! they stream in* (never accumulated), so a client sending an endless
 //! line costs one fixed buffer, not memory proportional to the line.
 //! The decoder is transport-agnostic — it never touches a socket — which

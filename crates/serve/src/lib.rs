@@ -17,27 +17,25 @@
 //! [`ServeOptions::cache_dir`] set, the report cache is backed by the
 //! persistent [`segbus_core::DiskStore`] and warm-starts across restarts.
 //!
-//! Two interchangeable connection-handling cores sit behind the
-//! [`Server`] facade (selected by [`ServeOptions::core`]): the default
-//! **sharded non-blocking event loop** ([`shard`], DESIGN.md §13) with
-//! admission control, `S005` load-shed and per-shard/latency stats, and
-//! the legacy **thread-per-connection** core ([`server`]) kept as the
-//! differential-testing reference. Both produce identical response
-//! bodies for identical request streams.
+//! Connections are handled by one **sharded non-blocking event loop**
+//! ([`shard`], DESIGN.md §13) behind the [`Server`] facade, with
+//! admission control, `S005` load-shed and per-shard/latency stats.
+//! Committed request/response transcripts (`tests/transcripts/`) pin its
+//! response bodies.
 //!
 //! The layers, usable independently:
 //!
 //! * [`json`] — the minimal hand-rolled JSON reader/writer (the workspace
 //!   has no external dependencies);
 //! * [`protocol`] — request/response encode/decode over [`json`];
-//! * [`decode`] — push-based bounded line decoding shared by both cores;
+//! * [`decode`] — push-based bounded line decoding;
 //! * [`reorder`] — the bounded in-order delivery buffer;
 //! * [`hist`] — the lock-free fixed-bucket latency histogram;
 //! * [`service`] — [`service::BatchService`], the coalescing batcher over
 //!   [`segbus_core::CachedPool`]: concurrently arriving jobs merge into
 //!   one sweep batch and share the content-addressed report cache;
-//! * [`server`] + [`shard`] — the two TCP cores wiring connections to
-//!   the service.
+//! * [`server`] + [`shard`] — the TCP facade and the event-loop core
+//!   wiring connections to the service.
 //!
 //! ```no_run
 //! use segbus_serve::{ServeOptions, Server};
@@ -59,5 +57,5 @@ pub mod service;
 pub mod shard;
 
 pub use protocol::{Limits, Request, ServeStats, ShardStats};
-pub use server::{ServeCore, ServeOptions, Server};
+pub use server::{ServeOptions, Server};
 pub use service::{BatchService, JobOutcome, ServiceOptions, ServiceStats};

@@ -278,25 +278,7 @@ pub fn encode_hello(id: u64, in_order: bool, window: usize) -> String {
     w.finish()
 }
 
-/// Encode a `stats` response.
-pub fn encode_stats(id: u64, stats: CacheStats, batches: u64, jobs: u64, threads: usize) -> String {
-    let mut w = ObjWriter::new();
-    w.uint("id", id)
-        .bool("ok", true)
-        .uint("hits", stats.hits)
-        .uint("misses", stats.misses)
-        .uint("evictions", stats.evictions)
-        .uint("len", stats.len as u64)
-        .uint("capacity", stats.capacity as u64)
-        .uint("disk_hits", stats.disk_hits)
-        .uint("disk_len", stats.disk_len as u64)
-        .uint("batches", batches)
-        .uint("jobs", jobs)
-        .uint("threads", threads as u64);
-    w.finish()
-}
-
-/// Per-shard figures of the event-loop core's `stats` response.
+/// Per-shard figures of the `stats` response.
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
     /// Connections currently registered on the shard.
@@ -308,8 +290,8 @@ pub struct ShardStats {
     pub sheds: u64,
 }
 
-/// The event-loop core's `stats` snapshot: service counters plus
-/// shard/admission/latency figures.
+/// The `stats` snapshot: service counters plus shard/admission/latency
+/// figures.
 #[derive(Clone, Debug, Default)]
 pub struct ServeStats {
     /// Cache counters.
@@ -334,10 +316,8 @@ pub struct ServeStats {
     pub latency_samples: u64,
 }
 
-/// Encode the event-loop core's `stats` response: a superset of
-/// [`encode_stats`] (same base fields, so clients of the threads core
-/// keep working) plus cache hit tiers, admission counters and latency
-/// quantiles.
+/// Encode the `stats` response: cache and batch counters, cache hit
+/// tiers, admission counters and latency quantiles.
 pub fn encode_stats_full(id: u64, s: &ServeStats) -> String {
     let total_sheds: u64 = s.shards.iter().map(|sh| sh.sheds).sum();
     let conns: Vec<u64> = s.shards.iter().map(|sh| sh.connections).collect();
@@ -488,7 +468,11 @@ mod tests {
 
     #[test]
     fn responses_parse_back() {
-        let line = encode_stats(2, CacheStats::default(), 3, 10, 4);
+        let stats = ServeStats {
+            batches: 3,
+            ..ServeStats::default()
+        };
+        let line = encode_stats_full(2, &stats);
         let v = crate::json::parse(&line).unwrap();
         assert_eq!(v.get("ok").and_then(crate::json::Json::as_bool), Some(true));
         assert_eq!(

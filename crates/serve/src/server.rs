@@ -1,18 +1,13 @@
 //! The TCP front end: newline-delimited JSON over `127.0.0.1`.
 //!
-//! Two interchangeable cores answer the same protocol:
+//! [`Server`] is the facade over the sharded nonblocking event loop in
+//! [`crate::shard`]: N IO shards of nonblocking sockets, no
+//! per-connection threads, bounded queues, admission control with `S005`
+//! load-shed, and a `stats` endpoint.
 //!
-//! * **`event-loop`** (default, [`crate::shard`]) — N IO shards of
-//!   nonblocking sockets; no per-connection threads, bounded queues,
-//!   admission control with `S005` load-shed, and a rich `stats`
-//!   endpoint. This is the production core.
-//! * **`threads`** (this module) — the original thread-per-connection
-//!   core, kept for one release behind `--serve-core threads` as a
-//!   fallback and as the differential-testing reference.
-//!
-//! Both submit into the shared [`BatchService`], so jobs from different
-//! clients coalesce into common sweep batches and share the report
-//! cache, and both are driven through the same [`Server`] facade. The
+//! Every connection submits into the shared
+//! [`crate::service::BatchService`], so jobs from different clients
+//! coalesce into common sweep batches and share the report cache. The
 //! listener binds loopback only — the service trusts its input no more
 //! than the CLI does (every model goes through the same typed-validation
 //! pipeline), but it is a local tool, not an internet-facing daemon.
@@ -40,42 +35,14 @@
 //! line longer than [`ServeOptions::max_line_bytes`] is discarded (never
 //! buffered whole) and answered with `S003`.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use segbus_core::EmulatorConfig;
 
-use crate::decode::{is_idle_read_error, DecodedLine, LineDecoder};
-use crate::protocol::{self, Request};
-use crate::reorder::{Push, Reorder};
-use crate::service::{lock_recover, BatchService, ServiceOptions};
-
-/// Which connection-handling core a [`Server`] runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServeCore {
-    /// Sharded nonblocking event loop (the default, production core).
-    #[default]
-    EventLoop,
-    /// Legacy thread-per-connection core (`--serve-core threads`).
-    Threads,
-}
-
-impl ServeCore {
-    /// Parse a CLI flag value (`event-loop` | `threads`).
-    pub fn parse(s: &str) -> Option<ServeCore> {
-        match s {
-            "event-loop" | "event_loop" | "event" => Some(ServeCore::EventLoop),
-            "threads" | "thread" => Some(ServeCore::Threads),
-            _ => None,
-        }
-    }
-}
+use crate::protocol;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -98,17 +65,14 @@ pub struct ServeOptions {
     /// Default emulator configuration for the pool workers (per-job
     /// overrides still apply).
     pub config: EmulatorConfig,
-    /// Which connection-handling core to run.
-    pub core: ServeCore,
-    /// IO shards of the event-loop core (`0` = one per hardware thread,
-    /// capped at 8; ignored by the threads core).
+    /// IO shards (`0` = one per hardware thread, capped at 8).
     pub shards: usize,
     /// Global cap on emulation jobs in flight across all connections;
     /// admission beyond it is answered with `S005` instead of queued
-    /// (`0` = default 4096; ignored by the threads core).
+    /// (`0` = default 4096).
     pub max_in_flight: usize,
     /// Test instrumentation: forwarded to
-    /// [`ServiceOptions::fault_frames`] to exercise the worker-fault shed
+    /// [`crate::service::ServiceOptions::fault_frames`] to exercise the worker-fault shed
     /// path. `None` in production.
     #[doc(hidden)]
     pub fault_frames: Option<u64>,
@@ -125,7 +89,6 @@ impl Default for ServeOptions {
             max_line_bytes: 4 * 1024 * 1024,
             max_frames: 4096,
             config: EmulatorConfig::default(),
-            core: ServeCore::EventLoop,
             shards: 0,
             max_in_flight: 0,
             fault_frames: None,
@@ -133,8 +96,7 @@ impl Default for ServeOptions {
     }
 }
 
-/// Per-connection limits, derived from [`ServeOptions`]. Shared by both
-/// cores so they enforce identical protocol bounds.
+/// Per-connection limits, derived from [`ServeOptions`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ConnLimits {
     pub(crate) window: usize,
@@ -154,32 +116,19 @@ impl ConnLimits {
     }
 }
 
-/// A running server (either core) plus the shared batch service.
+/// A running server: the event-loop core's shared state and threads.
 pub struct Server {
     addr: SocketAddr,
-    inner: Inner,
-}
-
-enum Inner {
-    Threads {
-        shutdown: Arc<AtomicBool>,
-        accept: Option<JoinHandle<()>>,
-    },
-    Event {
-        shared: Arc<crate::shard::EventShared>,
-        handles: Option<Vec<JoinHandle<()>>>,
-    },
+    shared: Arc<crate::shard::EventShared>,
+    handles: Option<Vec<JoinHandle<()>>>,
 }
 
 impl Server {
-    /// Bind `127.0.0.1:port` and start accepting clients with the
-    /// configured core. Fails when the socket cannot be bound or a
-    /// requested `cache_dir` cannot be opened.
+    /// Bind `127.0.0.1:port` and start accepting clients. Fails when the
+    /// socket cannot be bound or a requested `cache_dir` cannot be
+    /// opened.
     pub fn start(opts: ServeOptions) -> std::io::Result<Server> {
-        match opts.core {
-            ServeCore::EventLoop => crate::shard::start_event_core(opts),
-            ServeCore::Threads => start_threads_core(opts),
-        }
+        crate::shard::start_event_core(opts)
     }
 
     /// Assemble the facade over a started event-loop core.
@@ -190,10 +139,8 @@ impl Server {
     ) -> Server {
         Server {
             addr,
-            inner: Inner::Event {
-                shared,
-                handles: Some(handles),
-            },
+            shared,
+            handles: Some(handles),
         }
     }
 
@@ -203,454 +150,29 @@ impl Server {
     }
 
     /// Ask the core to stop, then wait for every connection — in-flight
-    /// responses drain before this returns (the event-loop core bounds
-    /// the drain with a deadline so a stuck client cannot wedge it).
+    /// responses drain before this returns (bounded by a deadline so a
+    /// stuck client cannot wedge it).
     pub fn shutdown(&mut self) {
-        match &mut self.inner {
-            Inner::Threads { shutdown, accept } => {
-                trigger_shutdown(shutdown, self.addr);
-                if let Some(h) = accept.take() {
-                    let _ = h.join();
-                }
-            }
-            Inner::Event { shared, handles } => {
-                shared.begin_shutdown(self.addr);
-                if let Some(hs) = handles.take() {
-                    for h in hs {
-                        let _ = h.join();
-                    }
-                }
-            }
-        }
+        self.shared.begin_shutdown(self.addr);
+        self.join_handles();
     }
 
     /// Block until the server shuts down (via a client `shutdown` command).
     pub fn join(mut self) {
-        match &mut self.inner {
-            Inner::Threads { accept, .. } => {
-                if let Some(h) = accept.take() {
-                    let _ = h.join();
-                }
-            }
-            Inner::Event { handles, .. } => {
-                if let Some(hs) = handles.take() {
-                    for h in hs {
-                        let _ = h.join();
-                    }
-                }
-            }
+        self.join_handles();
+    }
+
+    fn join_handles(&mut self) {
+        for h in self.handles.take().into_iter().flatten() {
+            let _ = h.join();
         }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        let live = match &self.inner {
-            Inner::Threads { accept, .. } => accept.is_some(),
-            Inner::Event { handles, .. } => handles.is_some(),
-        };
-        if live {
+        if self.handles.is_some() {
             self.shutdown();
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// the legacy thread-per-connection core
-
-fn start_threads_core(opts: ServeOptions) -> std::io::Result<Server> {
-    let listener = TcpListener::bind(("127.0.0.1", opts.port))?;
-    let addr = listener.local_addr()?;
-    let service = BatchService::start(ServiceOptions {
-        config: opts.config,
-        threads: opts.threads,
-        cache_capacity: opts.cache_capacity,
-        cache_dir: opts.cache_dir.clone(),
-        fault_frames: opts.fault_frames,
-    })?;
-    let limits = ConnLimits::from_options(&opts);
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let accept_shutdown = Arc::clone(&shutdown);
-    let accept = std::thread::spawn(move || {
-        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-        for stream in listener.incoming() {
-            if accept_shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let service = service.clone();
-            let shutdown = Arc::clone(&accept_shutdown);
-            handlers.push(std::thread::spawn(move || {
-                let _ = handle_connection(stream, service, shutdown, addr, limits);
-            }));
-            // Reap handlers that have already finished so a long-lived
-            // server does not accumulate one join handle per past
-            // connection.
-            handlers.retain(|h| !h.is_finished());
-        }
-        // The listener is closed; wait for every live connection so
-        // in-flight responses are written before the server reports
-        // itself down.
-        for h in handlers {
-            let _ = h.join();
-        }
-    });
-    Ok(Server {
-        addr,
-        inner: Inner::Threads {
-            shutdown,
-            accept: Some(accept),
-        },
-    })
-}
-
-/// Flag the accept loop down and poke it with a no-op connection so the
-/// blocking `accept` returns.
-fn trigger_shutdown(shutdown: &AtomicBool, addr: SocketAddr) {
-    if shutdown.swap(true, Ordering::SeqCst) {
-        return; // already shutting down
-    }
-    let _ = TcpStream::connect(addr);
-}
-
-// ---------------------------------------------------------------------------
-// the in-flight window
-
-/// Counting semaphore bounding requests in flight on one connection.
-/// `close` (writer gone) unblocks every waiter with `false`.
-///
-/// Every lock acquisition recovers from a poisoned mutex: the state is a
-/// pair of plain integers that are never left half-updated, so a panic in
-/// some other holder (e.g. a callback unwinding through `release`) must
-/// degrade into nothing worse than that panic — historically it poisoned
-/// the mutex and every subsequent `acquire` on the connection panicked
-/// too, cascading one fault across the whole connection.
-struct Window {
-    max: usize,
-    state: Mutex<(usize, bool)>, // (in_flight, closed)
-    cv: Condvar,
-}
-
-impl Window {
-    fn new(max: usize) -> Window {
-        Window {
-            max,
-            state: Mutex::new((0, false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Take one in-flight slot, blocking while the window is full.
-    /// Returns `false` once the window is closed (stop reading).
-    fn acquire(&self) -> bool {
-        let mut st = lock_recover(&self.state);
-        loop {
-            if st.1 {
-                return false;
-            }
-            if st.0 < self.max {
-                st.0 += 1;
-                return true;
-            }
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Return a slot (one response line written).
-    fn release(&self) {
-        let mut st = lock_recover(&self.state);
-        st.0 = st.0.saturating_sub(1);
-        self.cv.notify_all();
-    }
-
-    /// Mark the window dead and wake all waiters.
-    fn close(&self) {
-        let mut st = lock_recover(&self.state);
-        st.1 = true;
-        self.cv.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// the writer thread
-
-/// What the reader (and job callbacks) feed the writer. Every accepted
-/// request becomes exactly one `Line` carrying the request's sequence
-/// number on the connection.
-enum OutMsg {
-    /// Switch to in-order delivery (sent before any `Line`).
-    InOrder,
-    Line(u64, String),
-}
-
-/// Drain `rx`, writing one line per message. In default mode lines go out
-/// in completion order; after `InOrder` they run through a bounded
-/// [`Reorder`] and are released in sequence order. The window is released
-/// per line *written*, so in-order buffering keeps counting against the
-/// window (bounded memory); if the reorder bound is ever exceeded anyway
-/// the connection is shed with `S005` and closed rather than buffering
-/// without bound.
-fn writer_loop(
-    mut stream: TcpStream,
-    rx: Receiver<OutMsg>,
-    window: Arc<Window>,
-    window_size: usize,
-) {
-    let result: std::io::Result<()> = (|| {
-        let mut reorder: Option<Reorder> = None;
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                OutMsg::InOrder => reorder = Some(Reorder::new(window_size)),
-                OutMsg::Line(seq, line) => match &mut reorder {
-                    None => {
-                        write_line(&mut stream, &line)?;
-                        window.release();
-                    }
-                    Some(r) => match r.push(seq, line) {
-                        Push::Ready(lines) => {
-                            for ready in lines {
-                                write_line(&mut stream, &ready)?;
-                                window.release();
-                            }
-                        }
-                        Push::Buffered => {}
-                        Push::Overflow => {
-                            let e = protocol::shed_error(
-                                "in-order reorder buffer exceeded its 2x-window bound",
-                            );
-                            write_line(&mut stream, &protocol::encode_error(0, &e))?;
-                            break;
-                        }
-                    },
-                },
-            }
-        }
-        Ok(())
-    })();
-    // Whether the reader hung up (normal) or the socket died (error),
-    // unblock any reader waiting on a window slot.
-    let _ = result;
-    window.close();
-}
-
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
-}
-
-// ---------------------------------------------------------------------------
-// the bounded line reader
-
-/// One event from the connection's byte stream.
-enum ReadEvent {
-    /// A complete request line (without the terminator).
-    Line(String),
-    /// A line exceeded the byte cap and was discarded up to its newline.
-    Overflow,
-    /// Read timeout: no data, a chance to poll the shutdown flag.
-    Idle,
-    /// Clean end of stream.
-    Eof,
-}
-
-/// Blocking adapter over [`LineDecoder`] for the threads core: reads with
-/// a short timeout and classifies errors through `is_idle_read_error`,
-/// so `WouldBlock` and `TimedOut` both mean "poll again" on every
-/// platform and only real errors tear the connection down.
-struct LineReader {
-    stream: TcpStream,
-    decoder: LineDecoder,
-    eof: bool,
-}
-
-impl LineReader {
-    fn new(stream: TcpStream, max_line_bytes: usize) -> LineReader {
-        LineReader {
-            stream,
-            decoder: LineDecoder::new(max_line_bytes),
-            eof: false,
-        }
-    }
-
-    fn read_event(&mut self) -> std::io::Result<ReadEvent> {
-        let mut buf = [0u8; 8 * 1024];
-        loop {
-            if let Some(ev) = self.decoder.pop() {
-                return Ok(match ev {
-                    DecodedLine::Line(l) => ReadEvent::Line(l),
-                    DecodedLine::Overflow => ReadEvent::Overflow,
-                });
-            }
-            if self.eof {
-                return Ok(match self.decoder.finish() {
-                    Some(DecodedLine::Line(l)) => ReadEvent::Line(l),
-                    Some(DecodedLine::Overflow) => ReadEvent::Overflow,
-                    None => ReadEvent::Eof,
-                });
-            }
-            match self.stream.read(&mut buf) {
-                Ok(0) => self.eof = true,
-                Ok(n) => self.decoder.feed(&buf[..n]),
-                Err(ref e) if is_idle_read_error(e) => return Ok(ReadEvent::Idle),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// the connection handler
-
-fn handle_connection(
-    stream: TcpStream,
-    service: BatchService,
-    shutdown: Arc<AtomicBool>,
-    addr: SocketAddr,
-    limits: ConnLimits,
-) -> std::io::Result<()> {
-    // Short read timeouts let the reader poll the shutdown flag; the
-    // writer thread owns its own clone of the stream.
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let writer_stream = stream.try_clone()?;
-    let (out_tx, out_rx) = channel::<OutMsg>();
-    let window = Arc::new(Window::new(limits.window));
-    let writer_window = Arc::clone(&window);
-    let writer = std::thread::spawn(move || {
-        writer_loop(writer_stream, out_rx, writer_window, limits.window)
-    });
-
-    let result = reader_loop(stream, &service, &shutdown, addr, limits, &out_tx, &window);
-
-    // Dropping our sender lets the writer drain: job callbacks hold their
-    // own clones, so every in-flight response is still written before the
-    // writer exits and we join it.
-    drop(out_tx);
-    let _ = writer.join();
-    result
-}
-
-fn reader_loop(
-    stream: TcpStream,
-    service: &BatchService,
-    shutdown: &AtomicBool,
-    addr: SocketAddr,
-    limits: ConnLimits,
-    out_tx: &Sender<OutMsg>,
-    window: &Arc<Window>,
-) -> std::io::Result<()> {
-    let mut reader = LineReader::new(stream, limits.max_line_bytes);
-    let mut seq = 0u64;
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let event = reader.read_event()?;
-        let line = match event {
-            ReadEvent::Eof => return Ok(()),
-            ReadEvent::Idle => continue,
-            ReadEvent::Overflow => {
-                let this_seq = next_slot(&mut seq, window)?;
-                let e = protocol::oversize_error(limits.max_line_bytes);
-                // The line was discarded before parsing, so no id exists.
-                let _ = out_tx.send(OutMsg::Line(this_seq, protocol::encode_error(0, &e)));
-                continue;
-            }
-            ReadEvent::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue; // blank keep-alive lines get no response and no seq
-        }
-        let this_seq = next_slot(&mut seq, window)?;
-        match protocol::parse_request(&line, &limits.proto) {
-            Err((id, e)) => {
-                let _ = out_tx.send(OutMsg::Line(this_seq, protocol::encode_error(id, &e)));
-            }
-            Ok(Request::Emulate { id, job }) => {
-                let tx = out_tx.clone();
-                service.submit_with(*job, move |outcome| {
-                    let line = match outcome.result {
-                        Ok(report) => {
-                            protocol::encode_report(id, outcome.cached, outcome.digest, &report)
-                        }
-                        Err(e) => protocol::encode_error(id, &e),
-                    };
-                    let _ = tx.send(OutMsg::Line(this_seq, line));
-                });
-            }
-            Ok(Request::Hello { id, in_order }) => {
-                let line = if in_order && this_seq != 0 {
-                    protocol::encode_error(id, &protocol::handshake_order_error())
-                } else {
-                    if in_order {
-                        let _ = out_tx.send(OutMsg::InOrder);
-                    }
-                    protocol::encode_hello(id, in_order, limits.window)
-                };
-                let _ = out_tx.send(OutMsg::Line(this_seq, line));
-            }
-            Ok(Request::Stats { id }) => {
-                let s = service.stats();
-                let line =
-                    protocol::encode_stats(id, s.cache, s.batches, s.jobs, service.threads());
-                let _ = out_tx.send(OutMsg::Line(this_seq, line));
-            }
-            Ok(Request::Shutdown { id }) => {
-                let _ = out_tx.send(OutMsg::Line(this_seq, protocol::encode_shutdown(id)));
-                trigger_shutdown(shutdown, addr);
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Allocate the next sequence number after taking a window slot. An
-/// unacquirable slot means the writer (and so the client) is gone.
-fn next_slot(seq: &mut u64, window: &Window) -> std::io::Result<u64> {
-    if !window.acquire() {
-        return Err(std::io::Error::new(
-            ErrorKind::BrokenPipe,
-            "response writer is gone",
-        ));
-    }
-    let s = *seq;
-    *seq += 1;
-    Ok(s)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Regression for the poison cascade: a panic while holding the
-    /// window mutex used to make every later `acquire` on the connection
-    /// panic too. The window must keep functioning on a poisoned mutex.
-    #[test]
-    fn window_survives_a_poisoned_mutex() {
-        let w = Arc::new(Window::new(2));
-        let w2 = Arc::clone(&w);
-        let _ = std::thread::spawn(move || {
-            let _guard = w2.state.lock().unwrap();
-            panic!("injected panic while holding the window lock");
-        })
-        .join();
-        assert!(
-            w.state.lock().is_err(),
-            "the mutex must actually be poisoned"
-        );
-        assert!(w.acquire());
-        assert!(w.acquire());
-        w.release();
-        assert!(w.acquire(), "released slot is acquirable after poisoning");
-        w.close();
-        assert!(!w.acquire(), "closed window still reports closed");
-    }
-
-    #[test]
-    fn serve_core_parses_flag_values() {
-        assert_eq!(ServeCore::parse("event-loop"), Some(ServeCore::EventLoop));
-        assert_eq!(ServeCore::parse("threads"), Some(ServeCore::Threads));
-        assert_eq!(ServeCore::parse("green-threads"), None);
-        assert_eq!(ServeCore::default(), ServeCore::EventLoop);
     }
 }

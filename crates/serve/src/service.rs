@@ -77,10 +77,8 @@ impl Default for ServiceOptions {
 /// can block the next batch).
 type Reply = Box<dyn FnOnce(JobOutcome) + Send>;
 
-enum Msg {
-    Run(Box<BatchJob>, Reply),
-    Stats(Sender<ServiceStats>),
-}
+/// One submitted job and where its outcome goes.
+type Msg = (Box<BatchJob>, Reply);
 
 /// Handle to a running batch service. Cloning is cheap; every clone
 /// submits into the same batcher. The batcher thread exits when the last
@@ -134,7 +132,7 @@ impl BatchService {
     /// any number of jobs in flight and let the callbacks feed its writer.
     pub fn submit_with(&self, job: BatchJob, reply: impl FnOnce(JobOutcome) + Send + 'static) {
         self.tx
-            .send(Msg::Run(Box::new(job), Box::new(reply)))
+            .send((Box::new(job), Box::new(reply)))
             .expect("batcher thread lives as long as any handle");
     }
 
@@ -156,25 +154,13 @@ impl BatchService {
             .expect("batcher always answers a submitted job")
     }
 
-    /// Current service counters, serialized through the batcher (exact,
-    /// but waits for any batch in progress).
-    pub fn stats(&self) -> ServiceStats {
-        let (reply_tx, reply_rx) = channel();
-        self.tx
-            .send(Msg::Stats(reply_tx))
-            .expect("batcher thread lives as long as any handle");
-        reply_rx
-            .recv()
-            .expect("batcher always answers a stats request")
-    }
-
     /// The counters as of the last completed batch, without waiting on
     /// the batcher. The snapshot is published *before* that batch's reply
     /// callbacks run, so once a client has seen a job's response the
-    /// published counters already include its batch. This is what the
-    /// event-loop core serves from — an IO shard must never block behind
-    /// an emulation batch.
-    pub fn stats_published(&self) -> ServiceStats {
+    /// published counters already include its batch. An IO shard serves
+    /// `stats` from this snapshot, so it never blocks behind an emulation
+    /// batch.
+    pub fn stats(&self) -> ServiceStats {
         *lock_recover(&self.published)
     }
 }
@@ -202,26 +188,8 @@ fn batcher(
         while let Ok(m) = rx.try_recv() {
             msgs.push(m);
         }
-        let mut jobs: Vec<BatchJob> = Vec::new();
-        let mut replies: Vec<Reply> = Vec::new();
-        for m in msgs {
-            match m {
-                Msg::Run(job, reply) => {
-                    jobs.push(*job);
-                    replies.push(reply);
-                }
-                Msg::Stats(reply) => {
-                    let _ = reply.send(ServiceStats {
-                        cache: pool.stats(),
-                        batches,
-                        jobs: total_jobs,
-                    });
-                }
-            }
-        }
-        if jobs.is_empty() {
-            continue;
-        }
+        let (jobs, replies): (Vec<BatchJob>, Vec<Reply>) =
+            msgs.into_iter().map(|(job, reply)| (*job, reply)).unzip();
         batches += 1;
         total_jobs += jobs.len() as u64;
         let cached: Vec<bool> = jobs.iter().map(|j| pool.is_cached(j)).collect();
@@ -384,18 +352,18 @@ mod tests {
         // and the published snapshot keeps advancing.
         let ok = svc.run(job());
         assert!(ok.result.is_ok());
-        assert!(svc.stats_published().batches >= 2);
-        assert_eq!(svc.stats_published().jobs, 2);
+        assert!(svc.stats().batches >= 2);
+        assert_eq!(svc.stats().jobs, 2);
     }
 
     #[test]
     fn published_stats_cover_answered_batches() {
         let svc = svc(2, 16);
-        assert_eq!(svc.stats_published().jobs, 0);
+        assert_eq!(svc.stats().jobs, 0);
         let first = svc.run(job());
         assert!(first.result.is_ok());
         // `run` returned, so the batch's snapshot is already published.
-        let s = svc.stats_published();
+        let s = svc.stats();
         assert_eq!(s.jobs, 1);
         assert_eq!(s.cache.misses, 1);
     }

@@ -1,4 +1,4 @@
-//! The sharded non-blocking event-loop core (the default serve core).
+//! The sharded non-blocking event-loop core behind [`crate::Server`].
 //!
 //! # Architecture
 //!
@@ -544,7 +544,7 @@ fn process_event(
 /// Assemble the `stats` snapshot from published service counters and the
 /// shards' atomics — instant, never waiting on the batcher.
 fn snapshot(ctx: &ShardCtx) -> ServeStats {
-    let svc = ctx.service.stats_published();
+    let svc = ctx.service.stats();
     ServeStats {
         cache: svc.cache,
         batches: svc.batches,

@@ -91,11 +91,9 @@ COMMANDS:
     validate  <model.sbd>                 parse and run the structural constraints
     matrix    <model.sbd>                 print the communication matrix (Fig. 8 style)
     emulate   <model.sbd> [--trace] [--package-size N] [--detailed] [--frames N]
-              [--engine fast|interpreter] [--trace-out FILE.sbt]
+              [--trace-out FILE.sbt]
                                           run the performance estimator
-                                          (--engine interpreter falls back to
-                                          the general event-loop core;
-                                          --trace-out streams the event trace
+                                          (--trace-out streams the event trace
                                           to a compact binary .sbt file)
     reference <model.sbd> [--package-size N]
                                           run the cycle-accurate reference simulator
@@ -106,7 +104,7 @@ COMMANDS:
     place     <model.sbd> --segments N [--seed S]
               [--objective items|packages|makespan] [--capacity C]
               [--threads N] [--restarts R] [--cache-dir DIR]
-              [--engine fast|interpreter] [--from-trace FILE.sbt]
+              [--from-trace FILE.sbt]
                                           propose an allocation with PlaceTool;
                                           makespan searches with emulation in
                                           the loop, sharded over --threads
@@ -118,13 +116,12 @@ COMMANDS:
                                           emulate at several package sizes
     batch     <paths...> [--package-size N] [--frames N] [--detailed] [--trace]
               [--threads N] [--cache N] [--cache-dir DIR]
-              [--engine fast|interpreter]
                                           emulate many models (files or directories
                                           of .sbd) through the report cache;
                                           --cache-dir persists reports across runs
     mc        <model.sbd> [--samples N] [--seed S] [--frames N] [--threads N]
               [--bootstrap N] [--cache N] [--cache-dir DIR]
-              [--engine fast|interpreter] [--package-size N]
+              [--package-size N]
                                           Monte-Carlo estimation of a stochastic
                                           model (flows annotated with items_dist /
                                           ticks_dist / jitter): mean, p50/p95/p99,
@@ -140,14 +137,13 @@ COMMANDS:
                                           redundant files, --check fails when any
                                           exist
     serve     [--port N] [--threads N] [--cache N] [--cache-dir DIR]
-              [--window N] [--max-frames N] [--engine fast|interpreter]
-              [--serve-core event-loop|threads] [--shards N]
+              [--window N] [--max-frames N] [--shards N]
               [--max-in-flight N]
                                           batched NDJSON-over-TCP emulation service
                                           on 127.0.0.1 with per-connection request
-                                          pipelining; the default sharded
-                                          event-loop core sheds load over
-                                          --max-in-flight with S005
+                                          pipelining; the sharded event-loop
+                                          core sheds load over --max-in-flight
+                                          with S005
                                           (see segbus-serve docs)
     cache     gc <dir>                    compact a --cache-dir report store,
                                           dropping dead records
@@ -182,47 +178,30 @@ fn precheck(psm: &Psm, frames: u64, path: &str) -> Result<(), CliError> {
         .map_err(|e| fail(format!("{path}: {e}")))
 }
 
-/// Flags that take a value; every other `--flag` is boolean, so a
-/// following positional is never swallowed.
-const VALUE_FLAGS: &[&str] = &[
-    "package-size",
-    "engine",
-    "frames",
-    "segments",
-    "seed",
-    "objective",
-    "capacity",
-    "restarts",
-    "sizes",
-    "samples",
-    "bootstrap",
-    "format",
-    "width",
-    "port",
-    "threads",
-    "cache",
-    "cache-dir",
-    "window",
-    "max-frames",
-    "serve-core",
-    "shards",
-    "max-in-flight",
-    "trace-out",
-    "from-trace",
-    "rounds",
-    "time-budget",
-];
+/// Flags that take no value, so a following positional is never
+/// swallowed. Every other flag takes a value.
+const BOOL_FLAGS: &[&str] = &["trace", "detailed", "portfolio", "check", "write"];
+
+/// Parsed `--key [value]` options.
+type Opts<'a> = Vec<(&'a str, Option<&'a str>)>;
 
 /// Parse `--key value` style options out of an argument list; returns
-/// (positional, lookup).
-fn split_opts(args: &[String]) -> (Vec<&str>, Vec<(&str, Option<&str>)>) {
+/// (positional, lookup). A `--key` not among the subcommand's `accepted`
+/// flags is an error.
+fn split_opts<'a>(
+    args: &'a [String],
+    accepted: &[&str],
+) -> Result<(Vec<&'a str>, Opts<'a>), CliError> {
     let mut pos = Vec::new();
     let mut opts = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         if let Some(key) = a.strip_prefix("--") {
-            let value = if VALUE_FLAGS.contains(&key) {
+            if !accepted.contains(&key) {
+                return Err(fail(format!("unknown option --{key}")));
+            }
+            let value = if !BOOL_FLAGS.contains(&key) {
                 args.get(i + 1)
                     .map(|s| s.as_str())
                     .filter(|v| !v.starts_with("--"))
@@ -238,7 +217,7 @@ fn split_opts(args: &[String]) -> (Vec<&str>, Vec<(&str, Option<&str>)>) {
         }
         i += 1;
     }
-    (pos, opts)
+    Ok((pos, opts))
 }
 
 fn opt<'a>(opts: &[(&'a str, Option<&'a str>)], key: &str) -> Option<Option<&'a str>> {
@@ -256,22 +235,6 @@ fn opt_u32(opts: &[(&str, Option<&str>)], key: &str) -> Result<Option<u32>, CliE
     }
 }
 
-/// `--engine fast|interpreter` — which emulator core runs the schedule.
-/// The specialised fast core is the default; `interpreter` is the escape
-/// hatch back to the general event-loop engine (bit-identical reports,
-/// so this only ever matters for triage).
-fn opt_engine(opts: &[(&str, Option<&str>)]) -> Result<segbus_core::EngineKind, CliError> {
-    match opt(opts, "engine") {
-        None => Ok(segbus_core::EngineKind::Fast),
-        Some(None) => Err(fail("--engine needs a value: fast or interpreter")),
-        Some(Some("fast")) => Ok(segbus_core::EngineKind::Fast),
-        Some(Some("interpreter")) => Ok(segbus_core::EngineKind::Interpreter),
-        Some(Some(other)) => Err(fail(format!(
-            "--engine: unknown engine {other:?} (fast or interpreter)"
-        ))),
-    }
-}
-
 fn apply_package_size(psm: Psm, opts: &[(&str, Option<&str>)]) -> Result<Psm, CliError> {
     match opt_u32(opts, "package-size")? {
         None => Ok(psm),
@@ -284,7 +247,7 @@ fn apply_package_size(psm: Psm, opts: &[(&str, Option<&str>)]) -> Result<Psm, Cl
 // -- subcommands --------------------------------------------------------------
 
 fn cmd_validate(args: &[String]) -> Result<String, CliError> {
-    let (pos, _) = split_opts(args);
+    let (pos, _) = split_opts(args, &[])?;
     let [path] = pos.as_slice() else {
         return Err(fail("usage: segbus validate <model.sbd>"));
     };
@@ -328,7 +291,7 @@ fn cmd_validate(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_matrix(args: &[String]) -> Result<String, CliError> {
-    let (pos, _) = split_opts(args);
+    let (pos, _) = split_opts(args, &[])?;
     let [path] = pos.as_slice() else {
         return Err(fail("usage: segbus matrix <model.sbd>"));
     };
@@ -337,15 +300,15 @@ fn cmd_matrix(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_emulate(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(
+        args,
+        &["package-size", "trace", "detailed", "frames", "trace-out"],
+    )?;
     let [path] = pos.as_slice() else {
-        return Err(fail("usage: segbus emulate <model.sbd> [--trace] [--package-size N] [--detailed] [--frames N] [--engine fast|interpreter] [--trace-out FILE.sbt]"));
+        return Err(fail("usage: segbus emulate <model.sbd> [--trace] [--package-size N] [--detailed] [--frames N] [--trace-out FILE.sbt]"));
     };
     let psm = apply_package_size(load_psm(path)?, &opts)?;
-    let mut config = EmulatorConfig {
-        engine: opt_engine(&opts)?,
-        ..EmulatorConfig::default()
-    };
+    let mut config = EmulatorConfig::default();
     if opt(&opts, "trace").is_some() {
         config.trace = true;
     }
@@ -386,7 +349,7 @@ fn cmd_emulate(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_reference(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args, &["package-size"])?;
     let [path] = pos.as_slice() else {
         return Err(fail(
             "usage: segbus reference <model.sbd> [--package-size N]",
@@ -401,7 +364,7 @@ fn cmd_reference(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_accuracy(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args, &["package-size"])?;
     let [path] = pos.as_slice() else {
         return Err(fail(
             "usage: segbus accuracy <model.sbd> [--package-size N]",
@@ -425,7 +388,7 @@ fn cmd_accuracy(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_export(args: &[String]) -> Result<String, CliError> {
-    let (pos, _) = split_opts(args);
+    let (pos, _) = split_opts(args, &[])?;
     let [path, out_dir] = pos.as_slice() else {
         return Err(fail("usage: segbus export <model.sbd> <out-dir>"));
     };
@@ -448,7 +411,7 @@ fn cmd_export(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_import(args: &[String]) -> Result<String, CliError> {
-    let (pos, _) = split_opts(args);
+    let (pos, _) = split_opts(args, &[])?;
     let [psdf_path, psm_path] = pos.as_slice() else {
         return Err(fail("usage: segbus import <psdf.xml> <psm.xml>"));
     };
@@ -469,13 +432,28 @@ fn cmd_import(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_place(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(
+        args,
+        &[
+            "segments",
+            "seed",
+            "from-trace",
+            "objective",
+            "capacity",
+            "threads",
+            "restarts",
+            "cache-dir",
+            "portfolio",
+            "rounds",
+            "time-budget",
+        ],
+    )?;
     let [path] = pos.as_slice() else {
         return Err(fail(
             "usage: segbus place <model.sbd> --segments N [--seed S] \
              [--objective items|packages|makespan] [--capacity C] \
              [--threads N] [--restarts R] [--cache-dir DIR] \
-             [--engine fast|interpreter] [--from-trace FILE.sbt] \
+             [--from-trace FILE.sbt] \
              [--portfolio [--rounds N] [--time-budget MS]]",
         ));
     };
@@ -519,10 +497,7 @@ fn cmd_place(args: &[String]) -> Result<String, CliError> {
         }
         Some(Some(v)) => v,
     };
-    let mut tool = PlaceTool::new(app, segments).with_emulator_config(EmulatorConfig {
-        engine: opt_engine(&opts)?,
-        ..EmulatorConfig::default()
-    });
+    let mut tool = PlaceTool::new(app, segments);
     if let Some((_, w)) = &measured {
         tool = tool.with_measured_weights(w);
     }
@@ -666,7 +641,7 @@ fn cmd_place(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_cache(args: &[String]) -> Result<String, CliError> {
-    let (pos, _) = split_opts(args);
+    let (pos, _) = split_opts(args, &[])?;
     match pos.as_slice() {
         ["gc", dir] => {
             // A gc must never create a store; `open` would.
@@ -697,7 +672,7 @@ fn cmd_cache(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args, &["sizes"])?;
     let [path] = pos.as_slice() else {
         return Err(fail("usage: segbus sweep <model.sbd> --sizes 18,36,72"));
     };
@@ -758,17 +733,25 @@ fn gather_models(paths: &[&str]) -> Result<Vec<String>, CliError> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(
+        args,
+        &[
+            "package-size",
+            "frames",
+            "detailed",
+            "trace",
+            "threads",
+            "cache",
+            "cache-dir",
+        ],
+    )?;
     if pos.is_empty() {
         return Err(fail(
-            "usage: segbus batch <paths...> [--package-size N] [--frames N] [--detailed] [--trace] [--threads N] [--cache N] [--cache-dir DIR] [--engine fast|interpreter]",
+            "usage: segbus batch <paths...> [--package-size N] [--frames N] [--detailed] [--trace] [--threads N] [--cache N] [--cache-dir DIR]",
         ));
     }
     let files = gather_models(&pos)?;
-    let mut config = EmulatorConfig {
-        engine: opt_engine(&opts)?,
-        ..EmulatorConfig::default()
-    };
+    let mut config = EmulatorConfig::default();
     if opt(&opts, "trace").is_some() {
         config.trace = true;
     }
@@ -842,10 +825,22 @@ fn cmd_batch(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_mc(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(
+        args,
+        &[
+            "samples",
+            "seed",
+            "frames",
+            "threads",
+            "bootstrap",
+            "cache",
+            "cache-dir",
+            "package-size",
+        ],
+    )?;
     let [path] = pos.as_slice() else {
         return Err(fail(
-            "usage: segbus mc <model.sbd> [--samples N] [--seed S] [--frames N] [--threads N] [--bootstrap N] [--cache N] [--cache-dir DIR] [--engine fast|interpreter] [--package-size N]",
+            "usage: segbus mc <model.sbd> [--samples N] [--seed S] [--frames N] [--threads N] [--bootstrap N] [--cache N] [--cache-dir DIR] [--package-size N]",
         ));
     };
     let psm = apply_package_size(load_psm(path)?, &opts)?;
@@ -863,10 +858,7 @@ fn cmd_mc(args: &[String]) -> Result<String, CliError> {
         frames,
         bootstrap: opt_u32(&opts, "bootstrap")?.unwrap_or(200),
     };
-    let config = EmulatorConfig {
-        engine: opt_engine(&opts)?,
-        ..EmulatorConfig::default()
-    };
+    let config = EmulatorConfig::default();
     let capacity = opt_u32(&opts, "cache")?.unwrap_or(1024) as usize;
     let threads = opt_u32(&opts, "threads")?.unwrap_or(0) as usize;
     let pool = if threads == 0 {
@@ -952,7 +944,11 @@ fn corpus_files(dir: &Path) -> Result<Vec<String>, CliError> {
 }
 
 fn cmd_corpus(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let accepted: &[&str] = match args.first().map(String::as_str) {
+        Some("min") => &["write", "check"],
+        _ => &["check"],
+    };
+    let (pos, opts) = split_opts(args, accepted)?;
     match pos.as_slice() {
         ["gen"] | ["gen", _] => {
             let dir = Path::new(if let [_, d] = pos.as_slice() {
@@ -1083,10 +1079,22 @@ fn cmd_corpus(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(
+        args,
+        &[
+            "port",
+            "threads",
+            "cache",
+            "cache-dir",
+            "window",
+            "max-frames",
+            "shards",
+            "max-in-flight",
+        ],
+    )?;
     if !pos.is_empty() {
         return Err(fail(
-            "usage: segbus serve [--port N] [--threads N] [--cache N] [--cache-dir DIR] [--window N] [--max-frames N] [--engine fast|interpreter] [--serve-core event-loop|threads] [--shards N] [--max-in-flight N]",
+            "usage: segbus serve [--port N] [--threads N] [--cache N] [--cache-dir DIR] [--window N] [--max-frames N] [--shards N] [--max-in-flight N]",
         ));
     }
     let port = opt_u32(&opts, "port")?.unwrap_or(7878);
@@ -1107,12 +1115,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         Some(None) => return Err(fail("--cache-dir needs a directory")),
         Some(Some(dir)) => Some(std::path::PathBuf::from(dir)),
     };
-    let core = match opt(&opts, "serve-core") {
-        None => defaults.core,
-        Some(Some(s)) => segbus_serve::ServeCore::parse(s)
-            .ok_or_else(|| fail(format!("--serve-core: {s:?} is not event-loop | threads")))?,
-        Some(None) => return Err(fail("--serve-core needs a value (event-loop | threads)")),
-    };
     let shards = opt_u32(&opts, "shards")?.unwrap_or(0) as usize;
     let max_in_flight = opt_u32(&opts, "max-in-flight")?.unwrap_or(0) as usize;
     let server = Server::start(ServeOptions {
@@ -1122,13 +1124,8 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         cache_dir,
         window,
         max_frames,
-        core,
         shards,
         max_in_flight,
-        config: EmulatorConfig {
-            engine: opt_engine(&opts)?,
-            ..EmulatorConfig::default()
-        },
         ..defaults
     })
     .map_err(|e| fail(format!("cannot start on 127.0.0.1:{port}: {e}")))?;
@@ -1141,7 +1138,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args, &["package-size", "frames"])?;
     let [path] = pos.as_slice() else {
         return Err(fail(
             "usage: segbus analyze <model.sbd | trace.sbt> [--package-size N] [--frames N]",
@@ -1303,7 +1300,7 @@ package latency: no packages delivered"
 }
 
 fn cmd_gantt(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args, &["width", "package-size"])?;
     let [path] = pos.as_slice() else {
         return Err(fail(
             "usage: segbus gantt <model.sbd> [--width N] [--package-size N]",
@@ -1321,7 +1318,7 @@ fn cmd_gantt(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_vcd(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args, &["package-size"])?;
     let [path] = pos.as_slice() else {
         return Err(fail("usage: segbus vcd <model.sbd> [--package-size N]"));
     };
@@ -1333,7 +1330,7 @@ fn cmd_vcd(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_codegen(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(args);
+    let (pos, opts) = split_opts(args, &["format"])?;
     let [path] = pos.as_slice() else {
         return Err(fail(
             "usage: segbus codegen <model.sbd> [--format vhdl|rust]",
@@ -1714,25 +1711,32 @@ mod tests {
         assert!(err.message.contains("T001"), "{}", err.message);
     }
 
+    /// A mistyped or retired flag is an error, not a silently ignored
+    /// no-op that runs with defaults.
     #[test]
-    fn emulate_engine_flag() {
-        let dir = tmpdir("eng");
+    fn unknown_options_are_rejected() {
+        let dir = tmpdir("opts");
         let f = demo_file(&dir);
-        // Bit-identity contract: the default fast core and the explicit
-        // interpreter print the very same report.
-        let fast = run(&args(&["emulate", &f, "--engine", "fast"])).unwrap();
-        let default = run(&args(&["emulate", &f])).unwrap();
-        let interp = run(&args(&["emulate", &f, "--engine", "interpreter"])).unwrap();
-        assert_eq!(fast, default);
-        assert_eq!(fast, interp);
-        let err = run(&args(&["emulate", &f, "--engine", "cobol"])).unwrap_err();
-        assert!(err.message.contains("unknown engine"), "{}", err.message);
-        let err = run(&args(&["emulate", &f, "--engine"])).unwrap_err();
-        assert!(err.message.contains("needs a value"), "{}", err.message);
-        // The escape hatch rides along on batch too.
-        let b = run(&args(&["batch", &f, "--engine", "interpreter"])).unwrap();
-        assert!(b.contains("1 model(s), 0 failure(s)"), "{b}");
-        assert!(run(&args(&["batch", &f, "--engine", "x"])).is_err());
+        let err = run(&args(&["emulate", &f, "--detaild"])).unwrap_err();
+        assert_eq!(err.message, "unknown option --detaild");
+        let err = run(&args(&["emulate", &f, "--engine", "fast"])).unwrap_err();
+        assert_eq!(err.message, "unknown option --engine");
+        let err = run(&args(&["serve", "--serve-core", "threads"])).unwrap_err();
+        assert_eq!(err.message, "unknown option --serve-core");
+        for cmd in ["validate", "batch", "mc", "place", "analyze", "gantt"] {
+            let err = run(&args(&[cmd, &f, "--bogus"])).unwrap_err();
+            assert_eq!(err.message, "unknown option --bogus", "{cmd}");
+        }
+        // A flag another subcommand accepts is still unknown here.
+        for (argv, flag) in [
+            (vec!["reference", &f, "--detailed"], "--detailed"),
+            (vec!["emulate", &f, "--threads", "4"], "--threads"),
+            (vec!["validate", &f, "--frames", "2"], "--frames"),
+            (vec!["corpus", "gen", "--write"], "--write"),
+        ] {
+            let err = run(&args(&argv)).unwrap_err();
+            assert_eq!(err.message, format!("unknown option {flag}"), "{argv:?}");
+        }
     }
 
     #[test]
@@ -1893,19 +1897,6 @@ mod tests {
         // The acceptance contract: byte-identical for any --threads.
         assert_eq!(one, cmd("2"));
         assert_eq!(one, cmd("8"));
-        // The interpreter escape hatch agrees with the fast core.
-        let interp = run(&args(&[
-            "mc",
-            &f,
-            "--samples",
-            "16",
-            "--seed",
-            "7",
-            "--engine",
-            "interpreter",
-        ]))
-        .unwrap();
-        assert_eq!(one, interp);
     }
 
     #[test]
@@ -1949,7 +1940,6 @@ mod tests {
         assert!(run(&args(&["mc", &f, "--samples", "0"])).is_err());
         assert!(run(&args(&["mc", &f, "--frames", "0"])).is_err());
         assert!(run(&args(&["mc"])).is_err());
-        assert!(run(&args(&["mc", &f, "--engine", "cobol"])).is_err());
     }
 
     #[test]
@@ -2015,9 +2005,6 @@ mod tests {
         assert!(run(&args(&["serve", "--port", "notaport"])).is_err());
         let err = run(&args(&["serve", "--port", "99999"])).unwrap_err();
         assert!(err.message.contains("99999"), "{}", err.message);
-        let err = run(&args(&["serve", "--serve-core", "green-threads"])).unwrap_err();
-        assert!(err.message.contains("green-threads"), "{}", err.message);
-        assert!(run(&args(&["serve", "--serve-core"])).is_err());
         assert!(run(&args(&["serve", "--max-in-flight", "lots"])).is_err());
     }
 }

@@ -6,9 +6,10 @@
 //! 1. **No panics.** Every rejection must surface as a typed
 //!    [`segbus_model::SegbusError`] — the lexer, parser, importer,
 //!    validator and engine pre-flight must never unwind on hostile input.
-//! 2. **Differential agreement.** For every *accepted* input of sane size,
-//!    the optimised indexed engine and the vendored pre-optimisation
-//!    [`ReferenceEmulator`] must produce bit-identical reports.
+//! 2. **Differential agreement.** For every *accepted* input, the engine
+//!    and the vendored pre-optimisation [`ReferenceEmulator`] must
+//!    produce bit-identical reports, single-shot and over two frames, and
+//!    must reject the same inputs with the same typed codes.
 //!
 //! All randomness comes from the repo's own [`SmallRng`] (no external
 //! fuzzing dependency), so every case is reproducible from its seed. The
@@ -17,14 +18,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use segbus_core::{Emulator, EmulatorConfig, EngineKind, QueueKind, ReferenceEmulator};
+use segbus_core::{EmulationReport, Emulator, EmulatorConfig, ReferenceEmulator};
 use segbus_model::mapping::Psm;
 use segbus_model::rng::SmallRng;
 use segbus_xml::m2t;
-
-/// Run the reference comparison only below this many total packages:
-/// the vendored engine is slow, and the point is agreement, not load.
-const DIFF_PACKAGE_BUDGET: u64 = 4_096;
 
 // ---------------------------------------------------------------------------
 // input generators
@@ -169,121 +166,51 @@ fn drive_xml(psdf: &str, psm: &str) -> Option<Psm> {
     }
 }
 
-/// Emulate an accepted PSM through the fallible entry point; if the
-/// pre-flight accepts it and the run is small, the interpreter, the fast
-/// core and the vendored reference engine must agree bit for bit. All
-/// engines take the un-prechecked input through their `try_` surfaces,
-/// so accept / reject decisions (and rejection codes) must agree too.
-fn emulate_and_compare(psm: &Psm, label: &str) {
-    let indexed = EmulatorConfig {
-        queue: QueueKind::Indexed,
-        engine: EngineKind::Interpreter,
-        ..EmulatorConfig::default()
-    };
-    let fast = EmulatorConfig {
-        engine: EngineKind::Fast,
-        ..EmulatorConfig::default()
-    };
-    let heap = EmulatorConfig {
-        queue: QueueKind::BinaryHeap,
-        engine: EngineKind::Interpreter,
-        ..EmulatorConfig::default()
-    };
-    let a = match Emulator::new(indexed).try_run(psm) {
-        Ok(report) => report,
-        Err(e) => {
-            assert!(!e.code.is_empty(), "{label}: rejection without a code");
-            // The reference `try_` surface must reject the same input with
-            // the same typed code — and must not panic on it.
-            let r = match ReferenceEmulator::new(heap).try_run(psm) {
-                Err(r) => r,
-                Ok(_) => panic!("{label}: reference accepted what the indexed engine rejected"),
-            };
-            assert_eq!(e.code, r.code, "{label}: rejection codes diverge");
-            // The fast core shares the pre-flight, so it must bounce the
-            // input with the same code — and must not panic on it.
-            let f = match Emulator::new(fast).try_run(psm) {
-                Err(f) => f,
-                Ok(_) => panic!("{label}: fast core accepted what the interpreter rejected"),
-            };
-            assert_eq!(e.code, f.code, "{label}: fast-core rejection codes diverge");
-            return;
-        }
-    };
-    // Fast-core arm: the specialised core must accept exactly the same
-    // inputs and reproduce the interpreter's report bit for bit.
-    let f = Emulator::new(fast)
-        .try_run(psm)
-        .unwrap_or_else(|e| panic!("{label}: fast core rejected an accepted input: {e}"));
-    assert_eq!(a.makespan, f.makespan, "{label}: fast makespan");
-    assert_eq!(a.sas, f.sas, "{label}: fast SA stats");
-    assert_eq!(a.ca, f.ca, "{label}: fast CA stats");
-    assert_eq!(a.bus, f.bus, "{label}: fast bus counters");
-    assert_eq!(a.fus, f.fus, "{label}: fast FU counters");
-    let s = psm.platform().package_size();
-    let total_pkgs: u64 = psm
-        .application()
-        .flows()
-        .iter()
-        .map(|f| f.packages(s))
-        .sum();
-    if total_pkgs > DIFF_PACKAGE_BUDGET {
-        return;
-    }
-    let r = ReferenceEmulator::new(heap)
-        .try_run(psm)
-        .unwrap_or_else(|e| panic!("{label}: reference rejected an accepted input: {e}"));
+fn assert_same(a: &EmulationReport, r: &EmulationReport, label: &str) {
     assert_eq!(a.makespan, r.makespan, "{label}: makespan");
     assert_eq!(a.sas, r.sas, "{label}: SA stats");
     assert_eq!(a.ca, r.ca, "{label}: CA stats");
     assert_eq!(a.bus, r.bus, "{label}: bus counters");
     assert_eq!(a.fus, r.fus, "{label}: FU counters");
+}
 
-    // Frame pipelining arm: the streaming (`--frames 2`) path exercises
-    // frame-boundary bookkeeping the single-shot run never touches.
-    let a2 = match Emulator::new(indexed).try_run_frames(psm, 2) {
-        Ok(report) => report,
-        Err(e) => {
-            assert!(
-                !e.code.is_empty(),
-                "{label}: frames-2 rejection without a code"
-            );
-            let r = match ReferenceEmulator::new(heap).try_run_frames(psm, 2) {
-                Err(r) => r,
-                Ok(_) => panic!("{label}: reference accepted a rejected frames-2 job"),
-            };
-            assert_eq!(e.code, r.code, "{label}: frames-2 rejection codes diverge");
-            let f = match Emulator::new(fast).try_run_frames(psm, 2) {
-                Err(f) => f,
-                Ok(_) => panic!("{label}: fast core accepted a rejected frames-2 job"),
-            };
-            assert_eq!(
-                e.code, f.code,
-                "{label}: fast frames-2 rejection codes diverge"
-            );
-            return;
+/// Run `frames` frames of `psm` on the engine and on the reference
+/// through their un-prechecked `try_` surfaces: accept / reject decisions
+/// and rejection codes must agree, and accepted runs must produce the
+/// same report. Returns the engine's report when accepted.
+fn compare_frames(psm: &Psm, frames: u64, label: &str) -> Option<EmulationReport> {
+    let cfg = EmulatorConfig::default();
+    let engine = Emulator::new(cfg).try_run_frames(psm, frames);
+    let reference = ReferenceEmulator::new(cfg).try_run_frames(psm, frames);
+    match (engine, reference) {
+        (Ok(a), Ok(r)) => {
+            assert_same(&a, &r, label);
+            Some(a)
         }
+        (Err(e), Err(r)) => {
+            assert!(!e.code.is_empty(), "{label}: rejection without a code");
+            assert_eq!(e.code, r.code, "{label}: rejection codes diverge");
+            None
+        }
+        (Ok(_), Err(r)) => panic!("{label}: reference rejected an accepted input: {r}"),
+        (Err(e), Ok(_)) => panic!("{label}: reference accepted what the engine rejected: {e}"),
+    }
+}
+
+/// Emulate an accepted PSM through the fallible entry point and compare
+/// it with the reference, single-shot and — the streaming path exercises
+/// frame-boundary bookkeeping the single-shot run never touches — over
+/// two frames.
+fn emulate_and_compare(psm: &Psm, label: &str) {
+    let Some(a) = compare_frames(psm, 1, label) else {
+        return;
     };
-    let f2 = Emulator::new(fast)
-        .try_run_frames(psm, 2)
-        .unwrap_or_else(|e| panic!("{label}: fast core rejected an accepted frames-2 job: {e}"));
-    assert_eq!(a2.makespan, f2.makespan, "{label}: fast frames-2 makespan");
-    assert_eq!(a2.sas, f2.sas, "{label}: fast frames-2 SA stats");
-    assert_eq!(a2.ca, f2.ca, "{label}: fast frames-2 CA stats");
-    assert_eq!(a2.bus, f2.bus, "{label}: fast frames-2 bus counters");
-    assert_eq!(a2.fus, f2.fus, "{label}: fast frames-2 FU counters");
-    let r2 = ReferenceEmulator::new(heap)
-        .try_run_frames(psm, 2)
-        .unwrap_or_else(|e| panic!("{label}: reference rejected an accepted frames-2 job: {e}"));
-    assert_eq!(a2.makespan, r2.makespan, "{label}: frames-2 makespan");
-    assert_eq!(a2.sas, r2.sas, "{label}: frames-2 SA stats");
-    assert_eq!(a2.ca, r2.ca, "{label}: frames-2 CA stats");
-    assert_eq!(a2.bus, r2.bus, "{label}: frames-2 bus counters");
-    assert_eq!(a2.fus, r2.fus, "{label}: frames-2 FU counters");
-    assert!(
-        a2.makespan >= a.makespan,
-        "{label}: a second frame cannot finish earlier than the first"
-    );
+    if let Some(a2) = compare_frames(psm, 2, &format!("{label} (frames 2)")) {
+        assert!(
+            a2.makespan >= a.makespan,
+            "{label}: a second frame cannot finish earlier than the first"
+        );
+    }
 }
 
 /// The repo's model corpus, as (name, source) pairs: the hand-written
@@ -493,7 +420,7 @@ fn fuzz_differential_nightly() {
 /// Valid corpus models must stay accepted end to end: parse, pre-flight,
 /// emulate, and agree with the reference engine.
 #[test]
-fn corpus_models_accepted_and_queue_invariant() {
+fn corpus_models_accepted_and_match_the_reference() {
     for (name, text) in corpus() {
         let psm = segbus_dsl::parse_system(&text)
             .unwrap_or_else(|e| panic!("{name} must stay valid: {e}"));
