@@ -22,8 +22,7 @@
 //!   candidates that provably cannot beat an incumbent.
 //!
 //! Both are exact caches of the same deterministic cost functions the
-//! non-incremental paths compute; the solvers' trajectories are
-//! bit-identical with or without them.
+//! full-sweep [`PlaceTool::cost`] computes, which the tests below pin.
 
 use segbus_core::{EmulationReport, Engine, EnginePlan, LowerBoundScratch};
 use segbus_model::digest::{digest_with_slots, Fnv64};
@@ -44,10 +43,9 @@ pub(crate) struct EvalBase {
 
 impl EvalBase {
     /// Build (and strictly validate) the base model. Cheap no-op for the
-    /// hop objectives, which never emulate, and when
-    /// [`PlaceTool::with_incremental`] disabled incremental evaluation.
+    /// hop objectives, which never emulate.
     pub(crate) fn new(tool: &PlaceTool) -> EvalBase {
-        if !tool.incremental || tool.objective != Objective::Makespan {
+        if tool.objective != Objective::Makespan {
             return EvalBase { psm: None };
         }
         let platform = tool
@@ -73,8 +71,8 @@ pub(crate) enum PatchOutcome {
     /// The candidate cannot be emulated (empty segment or unroutable
     /// move) — its cost is `u64::MAX`, same as the model-rebuild path.
     Infeasible,
-    /// No base plan exists; evaluate through the legacy per-candidate
-    /// model rebuild.
+    /// No base plan exists; evaluate through the per-candidate model
+    /// rebuild.
     NoPlan,
 }
 

@@ -12,16 +12,19 @@
 //! every segment non-empty (the platform's structural constraint V005) and
 //! may be capacity-limited.
 //!
-//! Four solvers are provided:
+//! One search driver, [`Portfolio`], composes five solvers:
 //!
-//! * [`PlaceTool::exhaustive`] — exact, for small instances;
+//! * [`PlaceTool::exhaustive`] — exact, for small instances (and the
+//!   test oracle the sharded search is checked against);
 //! * [`PlaceTool::greedy`] — traffic-ordered constructive heuristic;
 //! * [`PlaceTool::refine`] — move/swap hill climbing from a start point;
 //! * [`PlaceTool::anneal`] — seeded simulated annealing;
 //! * [`kernighan_lin`] — classic KL bipartitioning for two segments.
 //!
-//! [`PlaceTool::best`] composes them (greedy → refine, anneal → refine,
-//! best of the two) and is what the experiments use.
+//! The portfolio runs greedy → refine, KL → refine and seeded annealing
+//! chains → refine over one shared evaluator, and breaks cost ties by
+//! the lexicographically smallest segment vector. [`PlaceTool::best`] is
+//! its one-thread, one-round instance and is what the experiments use.
 //!
 //! Hop-weighted traffic is a *proxy* for what the designer actually wants
 //! — a short schedule. [`PlaceTool::with_makespan`] switches the solvers
@@ -46,15 +49,14 @@
 
 mod delta;
 pub mod kl;
-pub mod parallel;
+mod parallel;
 pub mod portfolio;
 
 pub use kl::kernighan_lin;
-pub use parallel::{allocation_digest, ParallelSearch, SearchStats};
+pub use parallel::{allocation_digest, SearchStats};
 pub use portfolio::Portfolio;
 
-use std::collections::HashMap;
-
+use parallel::{better, ParallelSearch, SharedEval};
 use segbus_core::{EmulatorConfig, Engine};
 use segbus_model::ids::{ProcessId, SegmentId};
 use segbus_model::mapping::{Allocation, Psm};
@@ -104,9 +106,6 @@ pub struct PlaceTool<'a> {
     /// the model-declared traffic; see
     /// [`PlaceTool::with_measured_weights`].
     measured: Option<&'a [u64]>,
-    /// Incremental candidate evaluation (delta hop sums, plan patching,
-    /// lower-bound skips); see [`PlaceTool::with_incremental`].
-    incremental: bool,
 }
 
 impl<'a> PlaceTool<'a> {
@@ -131,20 +130,7 @@ impl<'a> PlaceTool<'a> {
             platform: None,
             emu_config: EmulatorConfig::default(),
             measured: None,
-            incremental: true,
         }
-    }
-
-    /// Toggle incremental candidate evaluation (on by default): delta
-    /// hop-cost maintenance, plan patching and lower-bound emulation
-    /// skips. `false` forces the pre-incremental path — every candidate
-    /// rebuilds its model and is evaluated from scratch. Search results
-    /// are bit-identical either way (the delta paths are exact and the
-    /// bound is admissible); this is a diagnostics and benchmarking
-    /// escape hatch.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
     }
 
     /// Use ring (or linear) hop distances for the objective.
@@ -288,6 +274,15 @@ impl<'a> PlaceTool<'a> {
             .collect()
     }
 
+    /// The allocation described by a dense segment-index vector.
+    fn allocation_of(&self, slots: &[u16]) -> Allocation {
+        let mut alloc = Allocation::new(self.segments);
+        for (p, &s) in slots.iter().enumerate() {
+            alloc.assign(ProcessId(p as u32), SegmentId(s));
+        }
+        alloc
+    }
+
     /// `true` if the allocation is complete, within capacity, and leaves no
     /// segment empty.
     pub fn feasible(&self, alloc: &Allocation) -> bool {
@@ -312,7 +307,8 @@ impl<'a> PlaceTool<'a> {
     // -- exact solver -------------------------------------------------------
 
     /// Exhaustive search. Returns `None` when the instance exceeds
-    /// ~20 million assignments (`segments ^ processes`).
+    /// ~20 million assignments (`segments ^ processes`). Ties go to the
+    /// lexicographically smallest segment vector, as in every solver.
     pub fn exhaustive(&self) -> Option<Placement> {
         let n = self.app.process_count();
         let k = self.segments;
@@ -324,18 +320,14 @@ impl<'a> PlaceTool<'a> {
                 return None;
             }
         }
-        let mut assign = vec![0usize; n];
-        let mut best: Option<(u64, Vec<usize>)> = None;
+        let mut assign = vec![0u16; n];
+        let mut best: Option<(u64, Vec<u16>)> = None;
         'outer: loop {
-            // Evaluate.
-            let mut alloc = Allocation::new(k);
-            for (p, &s) in assign.iter().enumerate() {
-                alloc.assign(ProcessId(p as u32), SegmentId(s as u16));
-            }
+            let alloc = self.allocation_of(&assign);
             if self.feasible(&alloc) {
-                let c = self.cost(&alloc);
-                if best.as_ref().map(|(b, _)| c < *b).unwrap_or(true) {
-                    best = Some((c, assign.clone()));
+                let cand = (self.cost(&alloc), assign.clone());
+                if better(&cand, &best) {
+                    best = Some(cand);
                 }
             }
             // Next assignment (odometer).
@@ -345,7 +337,7 @@ impl<'a> PlaceTool<'a> {
                     break 'outer;
                 }
                 assign[i] += 1;
-                if assign[i] == k {
+                if assign[i] as usize == k {
                     assign[i] = 0;
                     i += 1;
                 } else {
@@ -353,13 +345,9 @@ impl<'a> PlaceTool<'a> {
                 }
             }
         }
-        let (cost, assign) = best?;
-        let mut alloc = Allocation::new(k);
-        for (p, &s) in assign.iter().enumerate() {
-            alloc.assign(ProcessId(p as u32), SegmentId(s as u16));
-        }
+        let (cost, slots) = best?;
         Some(Placement {
-            allocation: alloc,
+            allocation: self.allocation_of(&slots),
             cost,
         })
     }
@@ -470,11 +458,16 @@ impl<'a> PlaceTool<'a> {
     /// # Panics
     /// Panics if `start` is infeasible.
     pub fn refine(&self, start: Allocation) -> Placement {
-        let base = delta::EvalBase::new(self);
-        self.refine_in(&mut Evaluator::new(self, &base), start)
+        self.solo(|eval| self.refine_in(eval, start))
     }
 
-    fn refine_in<E: CostEval>(&self, eval: &mut E, start: Allocation) -> Placement {
+    /// Run `f` on the calling thread against a one-thread instance of the
+    /// portfolio's shared evaluation state.
+    fn solo<R>(&self, f: impl FnOnce(&mut SharedEval<'_, '_, 'a>) -> R) -> R {
+        ParallelSearch::new(*self, 1).with_eval(&mut Engine::new(self.emu_config), f)
+    }
+
+    fn refine_in(&self, eval: &mut SharedEval<'_, '_, '_>, start: Allocation) -> Placement {
         assert!(self.feasible(&start), "refine needs a feasible start");
         let n = self.app.process_count();
         let mut alloc = start;
@@ -547,20 +540,25 @@ impl<'a> PlaceTool<'a> {
     /// Seeded simulated annealing over moves and swaps, starting from the
     /// greedy placement. Deterministic for a given seed.
     pub fn anneal(&self, seed: u64, iterations: usize) -> Placement {
-        let base = delta::EvalBase::new(self);
-        self.anneal_in(&mut Evaluator::new(self, &base), seed, iterations)
+        self.solo(|eval| self.anneal_in(eval, seed, iterations))
     }
 
-    fn anneal_in<E: CostEval>(&self, eval: &mut E, seed: u64, iterations: usize) -> Placement {
+    fn anneal_in(
+        &self,
+        eval: &mut SharedEval<'_, '_, '_>,
+        seed: u64,
+        iterations: usize,
+    ) -> Placement {
         self.anneal_from(eval, self.greedy_allocation(), seed, iterations)
     }
 
     /// Annealing from an explicit feasible start (the portfolio search
     /// restarts chains from the global incumbent). Identical draw
-    /// sequence to [`PlaceTool::anneal`] for the same seed.
-    fn anneal_from<E: CostEval>(
+    /// sequence to [`PlaceTool::anneal`] for the same seed. Costs stay
+    /// exact `u64`s; only the Metropolis probability is computed in `f64`.
+    fn anneal_from(
         &self,
-        eval: &mut E,
+        eval: &mut SharedEval<'_, '_, '_>,
         start: Allocation,
         seed: u64,
         iterations: usize,
@@ -569,11 +567,11 @@ impl<'a> PlaceTool<'a> {
         let mut rng = SmallRng::seed_from_u64(seed);
         debug_assert!(self.feasible(&start), "anneal needs a feasible start");
         let mut alloc = start;
-        let mut cost = eval.cost(&alloc) as f64;
+        let mut cost = eval.cost(&alloc);
         let mut best = alloc.clone();
         let mut best_cost = cost;
 
-        let t0 = (cost / 2.0).max(1.0);
+        let t0 = (cost as f64 / 2.0).max(1.0);
         let iters = iterations.max(1);
         for it in 0..iters {
             let temp = t0 * (1.0 - it as f64 / iters as f64) + 1e-9;
@@ -598,8 +596,9 @@ impl<'a> PlaceTool<'a> {
                 }
                 continue;
             }
-            let c = eval.cost(&alloc) as f64;
-            let accept = c <= cost || rng.gen_bool(((cost - c) / temp).exp().clamp(0.0, 1.0));
+            let c = eval.cost(&alloc);
+            let accept =
+                c <= cost || rng.gen_bool(((cost as f64 - c as f64) / temp).exp().clamp(0.0, 1.0));
             if accept {
                 cost = c;
                 if c < best_cost {
@@ -614,54 +613,20 @@ impl<'a> PlaceTool<'a> {
         }
         Placement {
             allocation: best,
-            cost: best_cost as u64,
+            cost: best_cost,
         }
     }
 
-    /// The composed solver used by the experiments: exact search when the
-    /// instance is small enough to enumerate quickly, otherwise the best of
+    /// The composed solver used by the experiments: the one-thread,
+    /// one-round [`Portfolio`] — exact search when the instance is small
+    /// enough to enumerate quickly, otherwise the canonical best of
     /// greedy → refine, three annealing restarts → refine, and (on two
     /// segments without capacity limits) Kernighan–Lin → refine.
     pub fn best(&self, seed: u64) -> Placement {
-        let n = self.app.process_count();
-        // Enumerating every allocation is off the table when each
-        // evaluation is a full emulation run.
-        if self.objective != Objective::Makespan
-            && (self.segments as f64).powi(n as i32) <= 250_000.0
-        {
-            if let Some(p) = self.exhaustive() {
-                return p;
-            }
-        }
-        // One evaluator for the whole composition: candidates revisited
-        // across greedy/KL/annealing restarts hit the memo, and the
-        // makespan evaluator's patched plan survives across phases.
-        let base = delta::EvalBase::new(self);
-        let mut eval = Evaluator::new(self, &base);
-        let mut winner = self.refine_in(&mut eval, self.greedy_allocation());
-        if self.kl_applicable() {
-            let kl = self.refine_in(&mut eval, self.kl_allocation());
-            if kl.cost < winner.cost {
-                winner = kl;
-            }
-        }
-        let iterations = self.best_iterations();
-        for restart in 0..3u64 {
-            let a = self.anneal_in(
-                &mut eval,
-                seed.wrapping_add(restart.wrapping_mul(0x9e37_79b9)),
-                iterations,
-            );
-            let a = self.refine_in(&mut eval, a.allocation);
-            if a.cost < winner.cost {
-                winner = a;
-            }
-        }
-        winner
+        self.portfolio(1).with_rounds(1).best(seed)
     }
 
-    /// Annealing iteration budget used by `best` (and the parallel
-    /// search, which must match it to stay comparable).
+    /// Annealing iteration budget of every portfolio chain.
     fn best_iterations(&self) -> usize {
         let n = self.app.process_count();
         match self.objective {
@@ -689,14 +654,6 @@ impl<'a> PlaceTool<'a> {
         crate::kl::kernighan_lin(self.app, kl_objective, 8).allocation
     }
 
-    /// A parallel search over this solver: candidate evaluation sharded
-    /// across `threads` [`segbus_core::SweepPool`] workers with a shared
-    /// allocation-digest memo and cache-tiered makespan evaluation. See
-    /// [`ParallelSearch`]. `threads == 0` picks the machine parallelism.
-    pub fn parallel(self, threads: usize) -> ParallelSearch<'a> {
-        ParallelSearch::new(self, threads)
-    }
-
     /// A portfolio search over this solver: the greedy, Kernighan–Lin and
     /// annealing families run concurrently in synchronous rounds with a
     /// shared memo and a shared incumbent, stale families restarting from
@@ -704,124 +661,6 @@ impl<'a> PlaceTool<'a> {
     /// picks the machine parallelism.
     pub fn portfolio(self, threads: usize) -> Portfolio<'a> {
         Portfolio::new(self, threads)
-    }
-}
-
-/// Objective evaluation seen by the local-search solvers.
-///
-/// The sequential solvers use the single-threaded [`Evaluator`]; the
-/// parallel search substitutes a worker-local view of a shared,
-/// thread-safe memo (see [`parallel`]). Implementations must be pure
-/// caches of the same deterministic cost function — the solvers' search
-/// trajectories must not depend on which evaluator backs them.
-trait CostEval {
-    /// Objective value of a feasible candidate.
-    fn cost(&mut self, alloc: &Allocation) -> u64;
-
-    /// Objective value, or `None` when the evaluator can prove — via an
-    /// admissible lower bound — that the candidate costs at least
-    /// `incumbent` without evaluating it exactly. `None` therefore never
-    /// hides a candidate an exact evaluator would have accepted: the
-    /// hill-climbing trajectory is identical either way, only the number
-    /// of exact evaluations differs. The default is the exact evaluation.
-    fn cost_if_below(&mut self, alloc: &Allocation, incumbent: u64) -> Option<u64> {
-        let _ = incumbent;
-        Some(self.cost(alloc))
-    }
-}
-
-/// Objective evaluator shared across the solver phases of one `best` run.
-///
-/// For the hop-count objectives it maintains an incremental
-/// [`delta::HopState`] (O(degree) per candidate instead of a full flow
-/// sweep). For [`Objective::Makespan`] it owns a reusable [`Engine`] and a
-/// [`delta::PatchState`] — a compiled plan of the caller-provided
-/// [`delta::EvalBase`] patched per candidate, with a reused report buffer
-/// — memoises the makespan per allocation digest, and skips emulation
-/// entirely when the plan's admissible lower bound proves a candidate
-/// cannot beat the incumbent ([`CostEval::cost_if_below`]).
-struct Evaluator<'b, 't, 'a> {
-    tool: &'t PlaceTool<'a>,
-    engine: Engine,
-    hop: Option<delta::HopState>,
-    patch: delta::PatchState<'b>,
-    memo: HashMap<u64, u64>,
-    /// Distinct emulation runs performed (memo misses).
-    misses: usize,
-    /// Candidates rejected by the lower bound without emulation.
-    bound_skips: u64,
-}
-
-impl<'b, 't, 'a> Evaluator<'b, 't, 'a> {
-    fn new(tool: &'t PlaceTool<'a>, base: &'b delta::EvalBase) -> Evaluator<'b, 't, 'a> {
-        Evaluator {
-            tool,
-            engine: Engine::new(tool.emu_config),
-            hop: (tool.incremental && tool.objective != Objective::Makespan)
-                .then(|| delta::HopState::new(tool)),
-            patch: delta::PatchState::new(tool, base),
-            memo: HashMap::new(),
-            misses: 0,
-            bound_skips: 0,
-        }
-    }
-
-    /// Makespan of the candidate, or `None` when `threshold` is set and
-    /// the lower bound proves the candidate cannot beat it.
-    fn makespan_cost(&mut self, alloc: &Allocation, threshold: Option<u64>) -> Option<u64> {
-        let outcome = self.patch.prepare(self.tool, alloc);
-        let key = allocation_digest(self.patch.cand());
-        if let Some(&c) = self.memo.get(&key) {
-            return Some(c);
-        }
-        // Memo miss: only now patch the plan onto the candidate — memo
-        // hits never pay the remap work.
-        let outcome = match outcome {
-            delta::PatchOutcome::Ready => self.patch.patch(),
-            o => o,
-        };
-        let c = match outcome {
-            // Empty segment or unroutable move: same `u64::MAX` the
-            // model-rebuild path reports for a PSM that fails validation.
-            delta::PatchOutcome::Infeasible => u64::MAX,
-            delta::PatchOutcome::NoPlan => self.tool.emulate(&mut self.engine, alloc),
-            delta::PatchOutcome::Ready => {
-                if let Some(incumbent) = threshold {
-                    if self.patch.lower_bound(self.tool) >= incumbent {
-                        // Provably no better than the incumbent: skip the
-                        // emulation. Not memoised — the exact cost is
-                        // still unknown.
-                        self.bound_skips += 1;
-                        return None;
-                    }
-                }
-                self.patch.run(&mut self.engine)
-            }
-        };
-        self.misses += 1;
-        self.memo.insert(key, c);
-        Some(c)
-    }
-}
-
-impl CostEval for Evaluator<'_, '_, '_> {
-    fn cost(&mut self, alloc: &Allocation) -> u64 {
-        if self.tool.objective != Objective::Makespan {
-            return match self.hop.as_mut() {
-                Some(hop) => hop.cost(self.tool, alloc),
-                None => self.tool.hop_cost(alloc),
-            };
-        }
-        self.makespan_cost(alloc, None)
-            .expect("exact evaluation never bound-skips")
-    }
-
-    fn cost_if_below(&mut self, alloc: &Allocation, incumbent: u64) -> Option<u64> {
-        if self.tool.objective != Objective::Makespan {
-            return Some(self.cost(alloc));
-        }
-        let threshold = self.tool.incremental.then_some(incumbent);
-        self.makespan_cost(alloc, threshold)
     }
 }
 
@@ -1103,21 +942,18 @@ mod tests {
     }
 
     #[test]
-    fn makespan_evaluations_are_memoised() {
-        let app = pipeline_app();
-        let platform = two_segment_platform();
-        let tool = PlaceTool::new(&app, 2).with_makespan(&platform);
-        let base = delta::EvalBase::new(&tool);
-        let mut eval = Evaluator::new(&tool, &base);
-        let a = Allocation::from_groups(&[&[0, 1, 2], &[3, 4, 5]]);
-        let b = Allocation::from_groups(&[&[0, 1], &[2, 3, 4, 5]]);
-        let first = eval.cost(&a);
-        assert_eq!(eval.cost(&a), first);
-        assert_eq!(eval.misses, 1, "repeat candidate must hit the memo");
-        let _ = eval.cost(&b);
-        assert_eq!(eval.misses, 2);
-        assert_eq!(eval.cost(&b), eval.cost(&b));
-        assert_eq!(eval.misses, 2);
+    fn anneal_reports_costs_exactly_beyond_f64_precision() {
+        // 2^53 + 1 is the smallest integer an `f64` cannot hold: a cost
+        // routed through floating point comes back as 2^53.
+        let mut app = Application::new("wide");
+        let a = app.add_process(Process::new("A"));
+        let b = app.add_process(Process::new("B"));
+        app.add_flow(Flow::new(a, b, 1, 1, 1)).unwrap();
+        let weights = [(1u64 << 53) + 1];
+        let tool = PlaceTool::new(&app, 2).with_measured_weights(&weights);
+        let annealed = tool.anneal(1, 50);
+        assert_eq!(annealed.cost, (1u64 << 53) + 1);
+        assert_eq!(annealed.cost, tool.cost(&annealed.allocation));
     }
 
     #[test]

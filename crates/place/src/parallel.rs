@@ -1,19 +1,14 @@
-//! Parallel placement search: the PlaceTool sharded over the
-//! [`SweepPool`].
+//! The placement search's shared evaluation substrate: the
+//! allocation-digest memo, the report-cache tiers, and the sharded
+//! exhaustive search, all owned by the one search driver,
+//! [`Portfolio`](crate::Portfolio).
 //!
-//! The sequential solvers in the crate root evaluate one candidate at a
-//! time against a private memo; once the engine itself is fast, the
-//! search is the wall-clock bottleneck. [`ParallelSearch`] keeps the
-//! solvers' *trajectories* bit-identical — every strategy is still the
-//! deterministic sequential algorithm — but shards the independent units
-//! of work across [`SweepPool`] workers:
-//!
-//! * **exhaustive** enumeration splits into prefix-partitioned
-//!   sub-ranges: each shard fixes the segments of the first `depth`
-//!   processes and walks the suffix odometer;
-//! * **`best`** fans its independent starts (greedy → refine, KL →
-//!   refine, `restarts` annealing chains → refine) out one-per-worker;
-//! * **`anneal`** runs `restarts` seeded chains concurrently.
+//! [`ParallelSearch`] holds the [`SweepPool`] the portfolio fans its
+//! solver families out on, and every worker evaluates candidates through
+//! a [`SharedEval`] — the only evaluator the solvers know. Exhaustive
+//! enumeration splits into prefix-partitioned sub-ranges: each shard
+//! fixes the segments of the first `depth` processes and walks the
+//! suffix odometer.
 //!
 //! All workers share one thread-safe **allocation-digest memo**: the
 //! canonical allocation hash ([`allocation_digest`], mirroring the
@@ -25,9 +20,10 @@
 //!
 //! Misses fall through to the same memory → disk → emulate tier as
 //! `segbus batch`/`serve`: evaluations are routed through a
-//! [`CachedPool`] keyed by [`job_digest`], so with
-//! [`ParallelSearch::with_cache_dir`] a repeated placement search warm-
-//! starts from the `reports.sbc` produced by any of the three front ends.
+//! [`CachedPool`] keyed by [`job_digest`], so with a cache directory
+//! attached ([`Portfolio::with_cache_dir`](crate::Portfolio::with_cache_dir))
+//! a repeated placement search warm-starts from the `reports.sbc`
+//! produced by any of the three front ends.
 //!
 //! Results are deterministic for any thread count: the memo is a pure
 //! cache of the deterministic cost function (sharing it cannot steer a
@@ -43,11 +39,10 @@ use std::sync::{Condvar, Mutex};
 
 use segbus_core::{job_digest, job_digest_from, CacheStats, CachedPool, Engine, SweepPool};
 use segbus_model::digest::Fnv64;
-use segbus_model::ids::{ProcessId, SegmentId};
 use segbus_model::mapping::{Allocation, Psm};
 
 use crate::delta::{EvalBase, HopState, PatchOutcome, PatchState};
-use crate::{CostEval, Objective, PlaceTool, Placement};
+use crate::{Objective, PlaceTool, Placement};
 
 /// In-memory LRU capacity of the search's report cache. Placement
 /// neighbourhoods revisit at most a few thousand distinct candidates per
@@ -109,25 +104,14 @@ struct MemoState {
     duplicates: u64,
 }
 
-/// A parallel placement search over one [`PlaceTool`].
-///
-/// Construct with [`PlaceTool::parallel`]; the search owns a copy of the
-/// tool, a [`SweepPool`], the shared memo, and the report cache, so it
-/// can be reused across runs — a second `best` over the same instance
-/// answers every candidate from the memo without emulating.
-///
-/// ```
-/// use segbus_apps::generators::{chain, GeneratorConfig};
-/// use segbus_place::PlaceTool;
-///
-/// let app = chain(6, GeneratorConfig::default());
-/// let tool = PlaceTool::new(&app, 3);
-/// let search = tool.parallel(4);
-/// assert_eq!(search.best(42), tool.parallel(1).best(42)); // thread-count invariant
-/// ```
-pub struct ParallelSearch<'a> {
+/// The shared evaluation state of one [`Portfolio`](crate::Portfolio):
+/// a copy of the tool, a [`SweepPool`], the shared memo, and the report
+/// cache. It lives as long as the portfolio, so a second search over the
+/// same instance answers every candidate from the memo without emulating.
+pub(crate) struct ParallelSearch<'a> {
     pub(crate) tool: PlaceTool<'a>,
     pub(crate) pool: SweepPool,
+    /// Annealing-chain families per portfolio round (at least one).
     pub(crate) restarts: usize,
     memo: Mutex<MemoState>,
     done: Condvar,
@@ -148,7 +132,7 @@ pub struct ParallelSearch<'a> {
 impl<'a> ParallelSearch<'a> {
     /// A search over `tool` on `threads` workers (`0` picks the machine
     /// parallelism), with the default three annealing restarts.
-    pub fn new(tool: PlaceTool<'a>, threads: usize) -> ParallelSearch<'a> {
+    pub(crate) fn new(tool: PlaceTool<'a>, threads: usize) -> ParallelSearch<'a> {
         let pool = if threads == 0 {
             SweepPool::new(tool.emu_config)
         } else {
@@ -175,41 +159,32 @@ impl<'a> ParallelSearch<'a> {
         }
     }
 
-    /// Number of annealing restarts fanned out by [`best`](Self::best)
-    /// and [`anneal`](Self::anneal) (clamped to at least one; the
-    /// sequential `best` uses three).
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
-        self.restarts = restarts.max(1);
-        self
-    }
-
     /// Attach the persistent report store under `dir` (shared with
     /// `segbus batch`/`serve` via `--cache-dir`): cached makespans
     /// survive the process, and a warm directory answers repeated
     /// searches from disk instead of the emulator.
-    pub fn with_cache_dir(mut self, dir: &Path) -> io::Result<Self> {
-        self.cache.lock().unwrap().attach_disk(dir)?;
+    pub(crate) fn attach_disk(&mut self, dir: &Path) -> io::Result<()> {
+        self.cache
+            .get_mut()
+            .expect("no worker panicked holding the report cache")
+            .attach_disk(dir)?;
         self.cache_tier = true;
-        Ok(self)
+        Ok(())
     }
 
-    /// The worker cap.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// The configured annealing restarts.
-    pub fn restarts(&self) -> usize {
-        self.restarts
-    }
-
-    /// The solver this search runs.
-    pub fn tool(&self) -> &PlaceTool<'a> {
-        &self.tool
+    /// Run `f` against a worker-local evaluator over this search's shared
+    /// state, on `engine`.
+    pub(crate) fn with_eval<R>(
+        &self,
+        engine: &mut Engine,
+        f: impl FnOnce(&mut SharedEval<'_, '_, 'a>) -> R,
+    ) -> R {
+        let base = EvalBase::new(&self.tool);
+        f(&mut SharedEval::new(self, engine, &base))
     }
 
     /// Snapshot of the search counters (cumulative across runs).
-    pub fn stats(&self) -> SearchStats {
+    pub(crate) fn stats(&self) -> SearchStats {
         let memo = self.memo.lock().unwrap();
         SearchStats {
             evaluations: self.evaluations.load(Ordering::Relaxed),
@@ -225,11 +200,11 @@ impl<'a> ParallelSearch<'a> {
 
     // -- solvers ------------------------------------------------------------
 
-    /// Sharded exhaustive search; same contract as
+    /// Sharded exhaustive search; same contract and result as
     /// [`PlaceTool::exhaustive`] (`None` beyond ~20 million assignments
     /// or when no feasible allocation exists), ties broken by canonical
     /// allocation order regardless of which shard found the winner.
-    pub fn exhaustive(&self) -> Option<Placement> {
+    pub(crate) fn exhaustive(&self) -> Option<Placement> {
         let n = self.tool.app.process_count();
         let k = self.tool.segments;
         let mut size: u64 = 1;
@@ -252,9 +227,7 @@ impl<'a> ParallelSearch<'a> {
         }
         let prefixes: Vec<u64> = (0..shards).collect();
         let results = self.pool.sweep_with(&prefixes, |engine, &prefix| {
-            let base = EvalBase::new(&self.tool);
-            let mut eval = SharedEval::new(self, engine, &base);
-            self.exhaustive_shard(&mut eval, prefix, depth)
+            self.with_eval(engine, |eval| self.exhaustive_shard(eval, prefix, depth))
         });
         let mut best: Option<(u64, Vec<u16>)> = None;
         for cand in results.into_iter().flatten() {
@@ -263,12 +236,8 @@ impl<'a> ParallelSearch<'a> {
             }
         }
         let (cost, slots) = best?;
-        let mut alloc = Allocation::new(k);
-        for (p, &s) in slots.iter().enumerate() {
-            alloc.assign(ProcessId(p as u32), SegmentId(s));
-        }
         Some(Placement {
-            allocation: alloc,
+            allocation: self.tool.allocation_of(&slots),
             cost,
         })
     }
@@ -291,10 +260,7 @@ impl<'a> ParallelSearch<'a> {
         }
         let mut best: Option<(u64, Vec<u16>)> = None;
         'outer: loop {
-            let mut alloc = Allocation::new(k);
-            for (i, &s) in assign.iter().enumerate() {
-                alloc.assign(ProcessId(i as u32), SegmentId(s));
-            }
+            let alloc = self.tool.allocation_of(&assign);
             if self.tool.feasible(&alloc) {
                 let cand = (eval.cost(&alloc), assign.clone());
                 if better(&cand, &best) {
@@ -319,82 +285,6 @@ impl<'a> ParallelSearch<'a> {
         best
     }
 
-    /// `restarts` seeded annealing chains fanned out over the pool; the
-    /// chain seeds match the sequential `best` schedule
-    /// (`seed + r·0x9e37_79b9`). Returns the canonical winner.
-    pub fn anneal(&self, seed: u64, iterations: usize) -> Placement {
-        let seeds: Vec<u64> = (0..self.restarts as u64)
-            .map(|r| seed.wrapping_add(r.wrapping_mul(0x9e37_79b9)))
-            .collect();
-        let results = self.pool.sweep_with(&seeds, |engine, &s| {
-            let base = EvalBase::new(&self.tool);
-            let mut eval = SharedEval::new(self, engine, &base);
-            self.tool.anneal_in(&mut eval, s, iterations)
-        });
-        self.merge(results).expect("restarts >= 1")
-    }
-
-    /// The parallel analogue of [`PlaceTool::best`]: exact search when
-    /// the instance is small enough (hop objectives only), otherwise
-    /// greedy → refine, KL → refine (when applicable), and `restarts`
-    /// annealing chains → refine, all fanned out over the pool. The
-    /// winner is the canonical minimum, so the result is identical for
-    /// any thread count.
-    pub fn best(&self, seed: u64) -> Placement {
-        let n = self.tool.app.process_count();
-        if self.tool.objective != Objective::Makespan
-            && (self.tool.segments as f64).powi(n as i32) <= 250_000.0
-        {
-            if let Some(p) = self.exhaustive() {
-                return p;
-            }
-        }
-        let iterations = self.tool.best_iterations();
-        let mut tasks = vec![Task::Greedy];
-        if self.tool.kl_applicable() {
-            tasks.push(Task::Kl);
-        }
-        for r in 0..self.restarts as u64 {
-            tasks.push(Task::Anneal(seed.wrapping_add(r.wrapping_mul(0x9e37_79b9))));
-        }
-        let results = self.pool.sweep_with(&tasks, |engine, task| {
-            let base = EvalBase::new(&self.tool);
-            let mut eval = SharedEval::new(self, engine, &base);
-            match *task {
-                Task::Greedy => self
-                    .tool
-                    .refine_in(&mut eval, self.tool.greedy_allocation()),
-                Task::Kl => self.tool.refine_in(&mut eval, self.tool.kl_allocation()),
-                Task::Anneal(s) => {
-                    let a = self.tool.anneal_in(&mut eval, s, iterations);
-                    self.tool.refine_in(&mut eval, a.allocation)
-                }
-            }
-        });
-        self.merge(results).expect("the greedy task always runs")
-    }
-
-    /// Canonical winner of a set of finished placements: lowest cost,
-    /// ties broken by the lexicographically smallest segment vector.
-    pub(crate) fn merge(&self, candidates: Vec<Placement>) -> Option<Placement> {
-        let mut best: Option<(u64, Vec<u16>)> = None;
-        for p in candidates {
-            let cand = (p.cost, self.tool.slots(&p.allocation));
-            if better(&cand, &best) {
-                best = Some(cand);
-            }
-        }
-        let (cost, slots) = best?;
-        let mut alloc = Allocation::new(self.tool.segments);
-        for (p, &s) in slots.iter().enumerate() {
-            alloc.assign(ProcessId(p as u32), SegmentId(s));
-        }
-        Some(Placement {
-            allocation: alloc,
-            cost,
-        })
-    }
-
     // -- shared evaluation --------------------------------------------------
 
     /// Makespan of a candidate through the shared memo and cache tiers,
@@ -410,9 +300,6 @@ impl<'a> ParallelSearch<'a> {
         alloc: &Allocation,
         threshold: Option<u64>,
     ) -> Option<u64> {
-        if self.tool.objective != Objective::Makespan {
-            return Some(self.tool.hop_cost(alloc));
-        }
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         let mut outcome = patch.prepare(&self.tool, alloc);
         let key = allocation_digest(patch.cand());
@@ -505,9 +392,9 @@ impl<'a> ParallelSearch<'a> {
         makespan
     }
 
-    /// Memo-miss fallback when no base plan exists (the instance cannot
-    /// form a valid PSM): rebuild the model per candidate, exactly as
-    /// before plan patching.
+    /// Memo-miss fallback when no base plan exists (the greedy base
+    /// model fails validation): rebuild and emulate the model per
+    /// candidate.
     fn compute_rebuilt(&self, engine: &mut Engine, alloc: &Allocation) -> u64 {
         let platform = self
             .tool
@@ -543,17 +430,6 @@ impl<'a> ParallelSearch<'a> {
     }
 }
 
-/// One independent start of the composed `best` search.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Task {
-    /// Greedy constructive start, then refine.
-    Greedy,
-    /// Kernighan–Lin bipartition start, then refine.
-    Kl,
-    /// A seeded annealing chain, then refine.
-    Anneal(u64),
-}
-
 /// `true` if `cand` beats `best` under the canonical total order.
 pub(crate) fn better(cand: &(u64, Vec<u16>), best: &Option<(u64, Vec<u16>)>) -> bool {
     match best {
@@ -562,10 +438,12 @@ pub(crate) fn better(cand: &(u64, Vec<u16>), best: &Option<(u64, Vec<u16>)>) -> 
     }
 }
 
-/// Worker-local view of the shared evaluation state: the solvers see a
-/// plain [`CostEval`]; the engine, the incremental hop state and the
-/// patched plan stay worker-private, while memoisation and the cache
-/// tiers go through [`ParallelSearch::shared_cost`].
+/// Worker-local view of the shared evaluation state — the one evaluator
+/// every solver runs on. For the hop objectives it keeps an incremental
+/// [`HopState`] (O(degree) per candidate instead of a full flow sweep).
+/// For [`Objective::Makespan`] the engine and the patched plan stay
+/// worker-private, while memoisation and the cache tiers go through
+/// [`ParallelSearch::shared_cost`].
 pub(crate) struct SharedEval<'x, 'b, 'a> {
     search: &'x ParallelSearch<'a>,
     engine: &'x mut Engine,
@@ -576,40 +454,41 @@ pub(crate) struct SharedEval<'x, 'b, 'a> {
 impl<'x, 'b, 'a> SharedEval<'x, 'b, 'a> {
     /// A worker-local evaluator over `search`, compiling its patchable
     /// plan from the caller-owned `base`.
-    pub(crate) fn new(
+    fn new(
         search: &'x ParallelSearch<'a>,
         engine: &'x mut Engine,
         base: &'b EvalBase,
     ) -> SharedEval<'x, 'b, 'a> {
         SharedEval {
-            hop: (search.tool.incremental && search.tool.objective != Objective::Makespan)
+            hop: (search.tool.objective != Objective::Makespan)
                 .then(|| HopState::new(&search.tool)),
             patch: PatchState::new(&search.tool, base),
             search,
             engine,
         }
     }
-}
 
-impl CostEval for SharedEval<'_, '_, '_> {
-    fn cost(&mut self, alloc: &Allocation) -> u64 {
-        if self.search.tool.objective != Objective::Makespan {
-            return match self.hop.as_mut() {
-                Some(hop) => hop.cost(&self.search.tool, alloc),
-                None => self.search.tool.hop_cost(alloc),
-            };
-        }
-        self.search
-            .shared_cost(self.engine, &mut self.patch, alloc, None)
+    /// Objective value of a feasible candidate.
+    pub(crate) fn cost(&mut self, alloc: &Allocation) -> u64 {
+        self.cost_below(alloc, None)
             .expect("exact evaluation never bound-skips")
     }
 
-    fn cost_if_below(&mut self, alloc: &Allocation, incumbent: u64) -> Option<u64> {
-        if self.search.tool.objective != Objective::Makespan {
-            return Some(self.cost(alloc));
+    /// Objective value, or `None` when the plan's admissible lower bound
+    /// proves the candidate costs at least `incumbent` without evaluating
+    /// it exactly. `None` therefore never hides a candidate an exact
+    /// evaluation would have accepted: the hill-climbing trajectory is
+    /// the same either way, only the number of emulations differs.
+    pub(crate) fn cost_if_below(&mut self, alloc: &Allocation, incumbent: u64) -> Option<u64> {
+        self.cost_below(alloc, Some(incumbent))
+    }
+
+    fn cost_below(&mut self, alloc: &Allocation, threshold: Option<u64>) -> Option<u64> {
+        match self.hop.as_mut() {
+            Some(hop) => Some(hop.cost(&self.search.tool, alloc)),
+            None => self
+                .search
+                .shared_cost(self.engine, &mut self.patch, alloc, threshold),
         }
-        let threshold = self.search.tool.incremental.then_some(incumbent);
-        self.search
-            .shared_cost(self.engine, &mut self.patch, alloc, threshold)
     }
 }

@@ -1,16 +1,16 @@
-//! Portfolio placement search: heterogeneous solver families racing over
-//! one shared evaluation substrate.
+//! Portfolio placement search — the one search driver: heterogeneous
+//! solver families racing over one shared evaluation substrate.
 //!
-//! [`ParallelSearch::best`] fans its independent starts out once and
-//! merges at the end; each family explores alone and a family stuck in a
-//! poor basin wastes its whole budget there. [`Portfolio`] keeps the same
-//! family roster — greedy → refine, Kernighan–Lin → refine (when
-//! applicable), `restarts` annealing chains → refine — but runs it in
-//! **synchronous rounds** over the shared allocation-digest memo and a
-//! shared incumbent:
+//! The family roster is greedy → refine, Kernighan–Lin → refine (when
+//! applicable) and `restarts` annealing chains → refine. A single fan-out
+//! of it leaves every family exploring alone, and a family stuck in a
+//! poor basin wastes its whole budget there, so [`Portfolio`] runs the
+//! roster in **synchronous rounds** over the shared allocation-digest
+//! memo and a shared incumbent:
 //!
-//! * **Round 0** is exactly the `ParallelSearch::best` fan-out (same
-//!   seeds, same trajectories).
+//! * **Round 0** fans every family out once; one round
+//!   (`with_rounds(1)`) is exactly [`PlaceTool::best`] and
+//!   `segbus place`'s default.
 //! * After every round the family results are merged under the canonical
 //!   total order (lowest cost, ties broken by the lexicographically
 //!   smallest segment vector) into the **global incumbent**.
@@ -31,19 +31,15 @@
 //! incumbent (which workers update mid-round purely for observability).
 //! The wall-clock budget is likewise only consulted at round boundaries,
 //! so it can truncate the round sequence but never change the result of
-//! the rounds that did run. The full argument lives in DESIGN.md §16.
+//! the rounds that did run. The full argument lives in DESIGN.md §11.
 
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use segbus_model::ids::{ProcessId, SegmentId};
-use segbus_model::mapping::Allocation;
-
-use crate::delta::EvalBase;
-use crate::parallel::{better, SearchStats, SharedEval, Task};
-use crate::{Objective, ParallelSearch, PlaceTool, Placement};
+use crate::parallel::{better, ParallelSearch, SearchStats};
+use crate::{Objective, PlaceTool, Placement};
 
 /// Counters of one [`Portfolio`] (cumulative across runs): the underlying
 /// shared-evaluation counters plus the round bookkeeping.
@@ -61,9 +57,9 @@ pub struct PortfolioStats {
 
 /// A round-based portfolio search over one [`PlaceTool`].
 ///
-/// Construct with [`PlaceTool::portfolio`]. The portfolio owns a
-/// [`ParallelSearch`] (pool, shared memo, cache tiers) and reuses it
-/// across rounds and across runs.
+/// Construct with [`PlaceTool::portfolio`]. The portfolio owns its pool,
+/// shared memo and cache tiers, and reuses them across rounds and across
+/// runs.
 ///
 /// ```
 /// use segbus_apps::generators::{chain, GeneratorConfig};
@@ -83,6 +79,17 @@ pub struct Portfolio<'a> {
     incumbent_cost: AtomicU64,
     rounds_run: AtomicU64,
     cross_pollinations: AtomicU64,
+}
+
+/// One family's round-0 start.
+#[derive(Clone, Copy, Debug)]
+enum Task {
+    /// Greedy constructive start, then refine.
+    Greedy,
+    /// Kernighan–Lin bipartition start, then refine.
+    Kl,
+    /// A seeded annealing chain, then refine.
+    Anneal(u64),
 }
 
 /// One family's continuation in a round `r ≥ 1`: a seeded annealing
@@ -119,7 +126,7 @@ impl<'a> Portfolio<'a> {
 
     /// Maximum number of synchronous rounds (clamped to at least one;
     /// the portfolio may stop earlier when a round fails to improve the
-    /// incumbent). One round is exactly [`ParallelSearch::best`].
+    /// incumbent). One round is exactly [`PlaceTool::best`]'s fan-out.
     pub fn with_rounds(mut self, rounds: usize) -> Self {
         self.rounds = rounds.max(1);
         self
@@ -136,25 +143,27 @@ impl<'a> Portfolio<'a> {
 
     /// Number of annealing-chain families (clamped to at least one).
     pub fn with_restarts(mut self, restarts: usize) -> Self {
-        self.search = self.search.with_restarts(restarts);
+        self.search.restarts = restarts.max(1);
         self
     }
 
-    /// Attach the persistent report store under `dir`; see
-    /// [`ParallelSearch::with_cache_dir`].
+    /// Attach the persistent report store under `dir` (shared with
+    /// `segbus batch`/`serve` via `--cache-dir`): cached makespans
+    /// survive the process, and a warm directory answers repeated
+    /// searches from disk instead of the emulator.
     pub fn with_cache_dir(mut self, dir: &Path) -> io::Result<Self> {
-        self.search = self.search.with_cache_dir(dir)?;
+        self.search.attach_disk(dir)?;
         Ok(self)
     }
 
     /// The worker cap.
     pub fn threads(&self) -> usize {
-        self.search.threads()
+        self.search.pool.threads()
     }
 
     /// The solver this portfolio runs.
     pub fn tool(&self) -> &PlaceTool<'a> {
-        self.search.tool()
+        &self.search.tool
     }
 
     /// Snapshot of the portfolio counters (cumulative across runs).
@@ -167,13 +176,14 @@ impl<'a> Portfolio<'a> {
     }
 
     /// Run the portfolio. Deterministic in `(seed, rounds, restarts)`
-    /// for any thread count; never worse than [`ParallelSearch::best`]
-    /// with the same seed and restarts, since round 0 is exactly that
-    /// fan-out and later rounds only replace results that improve on it.
+    /// for any thread count; never worse than its own round 0 (the
+    /// one-round result with the same seed and restarts), since later
+    /// rounds only replace results that improve on it.
     pub fn best(&self, seed: u64) -> Placement {
         let tool = &self.search.tool;
         let n = tool.app.process_count();
-        // Tiny hop-objective instances: exact enumeration, as `best`.
+        // Tiny hop-objective instances: exact enumeration. Enumerating
+        // is off the table when each evaluation is a full emulation run.
         if tool.objective != Objective::Makespan
             && (tool.segments as f64).powi(n as i32) <= 250_000.0
         {
@@ -184,8 +194,7 @@ impl<'a> Portfolio<'a> {
         let started = Instant::now();
         let iterations = tool.best_iterations();
 
-        // The family roster, in fixed order. Round 0 mirrors the
-        // `ParallelSearch::best` fan-out, seeds included.
+        // The family roster, in fixed order.
         let mut families = vec![Task::Greedy];
         if tool.kl_applicable() {
             families.push(Task::Kl);
@@ -194,16 +203,14 @@ impl<'a> Portfolio<'a> {
             families.push(Task::Anneal(seed.wrapping_add(r.wrapping_mul(0x9e37_79b9))));
         }
         let results = self.search.pool.sweep_with(&families, |engine, task| {
-            let base = EvalBase::new(tool);
-            let mut eval = SharedEval::new(&self.search, engine, &base);
-            let p = match *task {
-                Task::Greedy => tool.refine_in(&mut eval, tool.greedy_allocation()),
-                Task::Kl => tool.refine_in(&mut eval, tool.kl_allocation()),
+            let p = self.search.with_eval(engine, |eval| match *task {
+                Task::Greedy => tool.refine_in(eval, tool.greedy_allocation()),
+                Task::Kl => tool.refine_in(eval, tool.kl_allocation()),
                 Task::Anneal(s) => {
-                    let a = tool.anneal_in(&mut eval, s, iterations);
-                    tool.refine_in(&mut eval, a.allocation)
+                    let a = tool.anneal_in(eval, s, iterations);
+                    tool.refine_in(eval, a.allocation)
                 }
-            };
+            });
             self.incumbent_cost.fetch_min(p.cost, Ordering::Relaxed);
             p
         });
@@ -249,14 +256,11 @@ impl<'a> Portfolio<'a> {
                 })
                 .collect();
             let results = self.search.pool.sweep_with(&chains, |engine, chain| {
-                let base = EvalBase::new(tool);
-                let mut eval = SharedEval::new(&self.search, engine, &base);
-                let mut alloc = Allocation::new(tool.segments);
-                for (p, &s) in chain.start.iter().enumerate() {
-                    alloc.assign(ProcessId(p as u32), SegmentId(s));
-                }
-                let a = tool.anneal_from(&mut eval, alloc, chain.seed, iterations);
-                let p = tool.refine_in(&mut eval, a.allocation);
+                let p = self.search.with_eval(engine, |eval| {
+                    let start = tool.allocation_of(&chain.start);
+                    let a = tool.anneal_from(eval, start, chain.seed, iterations);
+                    tool.refine_in(eval, a.allocation)
+                });
                 self.incumbent_cost.fetch_min(p.cost, Ordering::Relaxed);
                 p
             });
@@ -285,12 +289,8 @@ impl<'a> Portfolio<'a> {
         self.rounds_run.fetch_add(rounds_run, Ordering::Relaxed);
         self.cross_pollinations.fetch_add(cross, Ordering::Relaxed);
         let (cost, slots) = incumbent;
-        let mut alloc = Allocation::new(tool.segments);
-        for (p, &s) in slots.iter().enumerate() {
-            alloc.assign(ProcessId(p as u32), SegmentId(s));
-        }
         Placement {
-            allocation: alloc,
+            allocation: tool.allocation_of(&slots),
             cost,
         }
     }

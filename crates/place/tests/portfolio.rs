@@ -1,13 +1,16 @@
 //! Determinism and equivalence properties of the portfolio search: the
-//! result is bit-identical for any thread count, identical with
-//! incremental evaluation disabled (the delta paths are exact), never
-//! worse than the plain parallel fan-out it generalises, and a zero
-//! wall-clock budget degenerates to exactly that fan-out.
+//! result is bit-identical for any thread count, never worse than its
+//! own one-round fan-out, a zero wall-clock budget degenerates to
+//! exactly that fan-out, and models without a valid base plan fall back
+//! to per-candidate rebuilds without panicking.
 
 use std::time::Duration;
 
-use segbus_apps::generators::{grid, random_layered, GeneratorConfig};
+use segbus_apps::generators::{random_layered, GeneratorConfig};
+use segbus_model::ids::{ProcessId, SegmentId};
+use segbus_model::mapping::{Allocation, Psm};
 use segbus_model::platform::Platform;
+use segbus_model::psdf::{Application, Flow, Process};
 use segbus_model::time::ClockDomain;
 use segbus_place::{Objective, PlaceTool};
 
@@ -54,35 +57,16 @@ fn portfolio_is_thread_count_invariant_on_makespan() {
     }
 }
 
-/// Incremental evaluation (plan patching, bound skips, delta digests)
-/// must not change the trajectory: the portfolio lands on the same
-/// placement with it disabled.
-#[test]
-fn portfolio_matches_the_rebuild_path_on_makespan() {
-    let app = grid(5, 4, GeneratorConfig::default());
-    let platform = uniform_platform(2);
-    let run = |incremental: bool| {
-        PlaceTool::new(&app, 2)
-            .with_makespan(&platform)
-            .with_incremental(incremental)
-            .portfolio(2)
-            .with_restarts(2)
-            .with_rounds(2)
-            .best(9)
-    };
-    assert_eq!(run(true), run(false));
-}
-
-/// Round 0 is exactly the `ParallelSearch` fan-out, and later rounds
-/// only replace results that improve on it.
+/// Later rounds only replace round-0 results that improve on them.
 #[test]
 fn portfolio_never_worse_than_the_parallel_fanout() {
     let app = random_layered(3, 3, 5, GeneratorConfig::default());
     let platform = uniform_platform(2);
     let fanout = PlaceTool::new(&app, 2)
         .with_makespan(&platform)
-        .parallel(2)
+        .portfolio(2)
         .with_restarts(3)
+        .with_rounds(1)
         .best(7);
     let portfolio = PlaceTool::new(&app, 2)
         .with_makespan(&platform)
@@ -95,7 +79,7 @@ fn portfolio_never_worse_than_the_parallel_fanout() {
 
 /// The wall-clock budget is consulted only at round boundaries: an
 /// already-expired budget still runs round 0 and returns exactly the
-/// plain fan-out result.
+/// one-round fan-out result.
 #[test]
 fn zero_time_budget_still_runs_round_zero() {
     let app = random_layered(3, 3, 5, GeneratorConfig::default());
@@ -110,8 +94,52 @@ fn zero_time_budget_still_runs_round_zero() {
     assert_eq!(port.stats().rounds, 1);
     let fanout = PlaceTool::new(&app, 2)
         .with_makespan(&platform)
-        .parallel(1)
+        .portfolio(1)
         .with_restarts(2)
+        .with_rounds(1)
         .best(7);
     assert_eq!(result, fanout);
+}
+
+/// A model whose greedy base fails the engine pre-flight has no base
+/// plan: every candidate goes through the per-candidate model rebuild.
+/// Here the compute times overflow the engine's timeline (C008), so
+/// every candidate costs `u64::MAX` — the search must still return,
+/// agree with `PlaceTool::cost`, and be thread-count invariant.
+#[test]
+fn makespan_search_without_a_base_plan_falls_back_to_rebuilds() {
+    let mut app = Application::new("overflow");
+    let p: Vec<ProcessId> = (0..4)
+        .map(|i| match i {
+            0 => app.add_process(Process::initial("P0")),
+            3 => app.add_process(Process::final_("P3")),
+            _ => app.add_process(Process::new(format!("P{i}"))),
+        })
+        .collect();
+    for (order, w) in p.windows(2).enumerate() {
+        app.add_flow(Flow::new(w[0], w[1], 1 << 20, order as u32 + 1, u64::MAX))
+            .unwrap();
+    }
+    let platform = uniform_platform(2);
+    // The model itself is structurally valid; only the pre-flight fails.
+    let mut alloc = Allocation::new(2);
+    for (i, &pid) in p.iter().enumerate() {
+        alloc.assign(pid, SegmentId((i / 2) as u16));
+    }
+    let psm = Psm::new(platform.clone(), app.clone(), alloc).expect("structurally valid");
+    let err = segbus_core::strict_validate(&psm, 1, &Default::default()).unwrap_err();
+    assert_eq!(err.code, "C008");
+
+    let tool = PlaceTool::new(&app, 2).with_makespan(&platform);
+    let run = |threads: usize| {
+        let portfolio = tool.portfolio(threads).with_restarts(2);
+        let placement = portfolio.best(5);
+        (placement, portfolio.stats().search)
+    };
+    let (reference, stats) = run(1);
+    assert!(tool.feasible(&reference.allocation));
+    assert_eq!(reference.cost, tool.cost(&reference.allocation));
+    assert!(stats.emulations > 0, "the rebuild path must be exercised");
+    assert_eq!(stats.plan_patches, 0, "no base plan to patch");
+    assert_eq!(run(2).0, reference);
 }

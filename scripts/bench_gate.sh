@@ -4,24 +4,17 @@
 # throughput regressed by more than the tolerance (default 20%, i.e.
 # new < 0.80 × committed).
 #
-#   scripts/bench_gate.sh                 # gate P1 (engine) + P5 (placement)
+#   scripts/bench_gate.sh                 # gate P1 (engine) + P6 (serve)
 #   BENCH_GATE_TOLERANCE=0.5 scripts/bench_gate.sh   # looser gate
-#   BENCH_GATE_COUNTER=instructions scripts/bench_gate.sh
-#                                         # opt-in: gate on retired
-#                                         # instructions instead of wall
-#                                         # clock (see below)
 #
 # Gated benchmarks:
 #   exp_perf       -> BENCH_engine.json   P1 engine throughput
 #                     (`fast_runs_per_sec` only; the reference baseline
 #                      and `speedup` are report-only)
-#   exp_place_perf -> BENCH_place.json    P5 parallel placement search
-#                     (`runs_per_sec`, plus the P10 incremental-portfolio
-#                      leg: `place_moves_per_sec` throughput on the
-#                      120-process grid and `grid_speedup`, the ratio of
-#                      the full-rebuild path over incremental evaluation
-#                      on the identical trajectory)
 #   exp_serve_perf -> BENCH_serve.json    P6 serve-tier throughput + p99
+#
+# Placement search is measured end to end by segbench's `place` workload
+# (see segbench/README.md), not gated here.
 #
 # Each benchmark runs five times and every field is gated on its
 # best-of-5: the gate asks "can this machine still reach the committed
@@ -33,17 +26,6 @@
 # max:serve_p99_us) marks a lower-is-better field: the best observation
 # is the *minimum* across rounds, and the gate fails when it exceeds
 # committed / tolerance.
-#
-# Counter mode (BENCH_GATE_COUNTER=instructions): each benchmark run is
-# wrapped in `perf stat -e instructions` and the gate *additionally*
-# compares the best-of-5 (minimum) instruction count against the
-# committed `<bin>_instructions` field of BENCH_counters.json, when that
-# file exists — instruction counts are near-deterministic, so this is
-# the noise-immune absolute budget shared runners cannot give you on
-# wall clock. Without a committed baseline the counts are report-only
-# (printed so they can be committed). When `perf` is missing or
-# unusable (containers without perf_event access), the script says so
-# and falls back to the ordinary wall-clock gate.
 #
 # The committed baselines are restored afterwards — also on ctrl-C or a
 # runner kill: every parked baseline is restored by an EXIT/INT/TERM
@@ -101,45 +83,6 @@ restore_one() {
     PARKED=("${rest[@]+"${rest[@]}"}")
 }
 
-# -- counter mode -------------------------------------------------------------
-COUNTER="${BENCH_GATE_COUNTER:-}"
-PERF=""
-if [[ "$COUNTER" == "instructions" ]]; then
-    if command -v perf >/dev/null 2>&1 &&
-        perf stat -e instructions -- true >/dev/null 2>&1; then
-        PERF=1
-        echo "bench gate: counter mode — gating on retired instructions (perf stat)"
-    else
-        echo "bench gate: BENCH_GATE_COUNTER=instructions but perf stat is" \
-            "unavailable here — falling back to the wall-clock gate" >&2
-    fi
-elif [[ -n "$COUNTER" ]]; then
-    echo "bench gate: unknown BENCH_GATE_COUNTER \"$COUNTER\" (supported: instructions)" >&2
-    exit 1
-fi
-
-COUNTS_FILE=""
-
-# run_bench <bin> — one benchmark run; in counter mode the run is wrapped
-# in perf stat and its instruction count appended to $COUNTS_FILE.
-run_bench() {
-    local bin="$1"
-    if [[ -n "$PERF" ]]; then
-        local out
-        out=$(mktemp)
-        if ! perf stat -x, -e instructions -o "$out" -- \
-            cargo run --release -q -p segbus-report --bin "$bin"; then
-            rm -f "$out"
-            return 1
-        fi
-        # Field 3 is the event name — "instructions:u" when unprivileged.
-        awk -F, '$3 ~ /^instructions/ && $1 ~ /^[0-9]+$/ { print $1 }' "$out" >>"$COUNTS_FILE"
-        rm -f "$out"
-    else
-        cargo run --release -q -p segbus-report --bin "$bin"
-    fi
-}
-
 json_field() {
     # json_field <file> <key> — the benches write one "key": value per line.
     awk -F: -v key="\"$2\"" '$1 ~ key { gsub(/[ ,]/, "", $2); print $2 }' "$1"
@@ -182,13 +125,6 @@ gate() {
     # The bench overwrites its baseline in the cwd; park the committed
     # copy — restore_one puts it back below, the trap covers interrupts.
     park "$baseline"
-    COUNTS_FILE=$(mktemp)
-
-    if [[ -n "$PERF" ]]; then
-        # Pre-build so round 1's instruction count measures the bench,
-        # not rustc.
-        cargo build --release -q -p segbus-report --bin "$bin"
-    fi
 
     echo "== bench gate: cargo run --release -p segbus-report --bin $bin (best of $ROUNDS) =="
     local best=() i k v
@@ -196,9 +132,8 @@ gate() {
         best+=("")
     done
     for ((i = 1; i <= ROUNDS; i++)); do
-        if ! run_bench "$bin"; then
+        if ! cargo run --release -q -p segbus-report --bin "$bin"; then
             restore_one "$baseline"
-            rm -f "$COUNTS_FILE"
             echo "bench gate: $bin run $i failed" >&2
             return 1
         fi
@@ -207,7 +142,6 @@ gate() {
             v=$(json_field "$baseline" "${fields[$k]}")
             if [[ -z "$v" ]]; then
                 restore_one "$baseline"
-                rm -f "$COUNTS_FILE"
                 echo "bench gate: $bin run $i produced no ${fields[$k]}" >&2
                 return 1
             fi
@@ -241,33 +175,6 @@ gate() {
         fi
     done
 
-    # Counter verdict: minimum instruction count across the rounds vs the
-    # committed budget (lower is better), report-only without a baseline.
-    if [[ -n "$PERF" ]]; then
-        local insn
-        insn=$(sort -n "$COUNTS_FILE" | head -n 1)
-        if [[ -n "$insn" ]]; then
-            local budget=""
-            [[ -f BENCH_counters.json ]] && budget=$(json_field BENCH_counters.json "${bin}_instructions")
-            if [[ -n "$budget" ]]; then
-                local cverdict cok
-                cverdict=$(awk -v new="$insn" -v old="$budget" -v tol="$TOLERANCE" 'BEGIN {
-                    ratio = old / new
-                    printf "ratio %.3f (tolerance %.2f)\n", ratio, tol
-                    exit (ratio < tol) ? 1 : 0
-                }') && cok=1 || cok=0
-                echo "bench gate [$title/instructions]: committed $budget, best of $ROUNDS $insn — ${cverdict}"
-                summary+="| instructions | $budget | $insn | ${cverdict%$'\n'} |"$'\n'
-                if [[ "$cok" -ne 1 ]]; then
-                    ok=0
-                fi
-            else
-                echo "bench gate [$title/instructions]: best of $ROUNDS $insn (no ${bin}_instructions budget in BENCH_counters.json — report only)"
-            fi
-        fi
-    fi
-    rm -f "$COUNTS_FILE"
-
     if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
         {
             echo "### $title gate"
@@ -287,8 +194,6 @@ gate() {
 }
 
 gate BENCH_engine.json exp_perf "Engine throughput" fast_runs_per_sec || fails=1
-gate BENCH_place.json exp_place_perf "Placement search throughput" \
-    runs_per_sec place_moves_per_sec grid_speedup || fails=1
 gate BENCH_serve.json exp_serve_perf "Serve tier throughput" serve_reqs_per_sec max:serve_p99_us || fails=1
 
 if [[ "$fails" -ne 0 ]]; then

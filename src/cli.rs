@@ -24,7 +24,7 @@ use segbus_core::{BatchJob, CachedPool, Emulator, EmulatorConfig, SweepPool};
 use segbus_dsl as dsl;
 use segbus_model::mapping::Psm;
 use segbus_model::validate::{validate, Severity};
-use segbus_place::{Objective, PlaceTool, Portfolio};
+use segbus_place::{Objective, PlaceTool};
 use segbus_rtl::RtlSimulator;
 use segbus_serve::{ServeOptions, Server};
 use segbus_xml::{import, m2t};
@@ -104,14 +104,15 @@ COMMANDS:
     place     <model.sbd> --segments N [--seed S]
               [--objective items|packages|makespan] [--capacity C]
               [--threads N] [--restarts R] [--cache-dir DIR]
-              [--from-trace FILE.sbt]
+              [--from-trace FILE.sbt] [--rounds N] [--time-budget MS]
                                           propose an allocation with PlaceTool;
                                           makespan searches with emulation in
                                           the loop, sharded over --threads
                                           workers and warm-started from
                                           --cache-dir; --from-trace weighs
                                           flows by packages actually delivered
-                                          in a recorded trace
+                                          in a recorded trace; --rounds
+                                          portfolio rounds (default 1)
     sweep     <model.sbd> --sizes 18,36,72
                                           emulate at several package sizes
     batch     <paths...> [--package-size N] [--frames N] [--detailed] [--trace]
@@ -180,7 +181,7 @@ fn precheck(psm: &Psm, frames: u64, path: &str) -> Result<(), CliError> {
 
 /// Flags that take no value, so a following positional is never
 /// swallowed. Every other flag takes a value.
-const BOOL_FLAGS: &[&str] = &["trace", "detailed", "portfolio", "check", "write"];
+const BOOL_FLAGS: &[&str] = &["trace", "detailed", "check", "write"];
 
 /// Parsed `--key [value]` options.
 type Opts<'a> = Vec<(&'a str, Option<&'a str>)>;
@@ -443,7 +444,6 @@ fn cmd_place(args: &[String]) -> Result<String, CliError> {
             "threads",
             "restarts",
             "cache-dir",
-            "portfolio",
             "rounds",
             "time-budget",
         ],
@@ -453,8 +453,7 @@ fn cmd_place(args: &[String]) -> Result<String, CliError> {
             "usage: segbus place <model.sbd> --segments N [--seed S] \
              [--objective items|packages|makespan] [--capacity C] \
              [--threads N] [--restarts R] [--cache-dir DIR] \
-             [--from-trace FILE.sbt] \
-             [--portfolio [--rounds N] [--time-budget MS]]",
+             [--from-trace FILE.sbt] [--rounds N] [--time-budget MS]",
         ));
     };
     let segments =
@@ -543,59 +542,36 @@ fn cmd_place(args: &[String]) -> Result<String, CliError> {
     if restarts == 0 {
         return Err(fail("--restarts must be at least 1"));
     }
-    let use_portfolio = match opt(&opts, "portfolio") {
-        None => false,
-        Some(None) => true,
-        Some(Some(v)) => return Err(fail(format!("--portfolio takes no value (got {v:?})"))),
-    };
-    let rounds = opt_u32(&opts, "rounds")?;
-    let time_budget = opt_u32(&opts, "time-budget")?;
-    if !use_portfolio && (rounds.is_some() || time_budget.is_some()) {
-        return Err(fail("--rounds/--time-budget need --portfolio"));
-    }
-    if rounds == Some(0) {
+    // One round is the plain fan-out of every solver family; more rounds
+    // add cross-pollination from the shared incumbent.
+    let rounds = opt_u32(&opts, "rounds")?.unwrap_or(1);
+    if rounds == 0 {
         return Err(fail("--rounds must be at least 1"));
     }
-    let cache_dir = match opt(&opts, "cache-dir") {
-        None => None,
+    let mut port = tool
+        .portfolio(threads)
+        .with_restarts(restarts)
+        .with_rounds(rounds as usize);
+    if let Some(ms) = opt_u32(&opts, "time-budget")? {
+        port = port.with_time_budget(std::time::Duration::from_millis(ms as u64));
+    }
+    match opt(&opts, "cache-dir") {
+        None => {}
         Some(None) => return Err(fail("--cache-dir needs a directory")),
-        Some(Some(dir)) => Some(dir),
-    };
-    // Both drivers share the evaluation substrate; the portfolio adds
-    // round-based cross-pollination on top.
-    let (placement, threads_used, st, portfolio_line) = if use_portfolio {
-        let mut port = tool
-            .portfolio(threads)
-            .with_restarts(restarts)
-            .with_rounds(rounds.unwrap_or(Portfolio::DEFAULT_ROUNDS as u32) as usize);
-        if let Some(ms) = time_budget {
-            port = port.with_time_budget(std::time::Duration::from_millis(ms as u64));
-        }
-        if let Some(dir) = cache_dir {
+        Some(Some(dir)) => {
             port = port
                 .with_cache_dir(Path::new(dir))
                 .map_err(|e| fail(format!("--cache-dir {dir}: {e}")))?;
         }
-        let placement = port.best(seed);
-        let stats = port.stats();
-        let line = format!(
-            "portfolio: {} round(s), {} cross-pollination(s)\n",
-            stats.rounds, stats.cross_pollinations
-        );
-        (placement, port.threads(), stats.search, Some(line))
-    } else {
-        let mut search = tool.parallel(threads).with_restarts(restarts);
-        if let Some(dir) = cache_dir {
-            search = search
-                .with_cache_dir(Path::new(dir))
-                .map_err(|e| fail(format!("--cache-dir {dir}: {e}")))?;
-        }
-        let placement = search.best(seed);
-        (placement, search.threads(), search.stats(), None)
-    };
+    }
+    let placement = port.best(seed);
+    let stats = port.stats();
+    let st = stats.search;
     let mut out = format!(
         "PlaceTool: {} segments, {} thread(s), {label} {}\n",
-        segments, threads_used, placement.cost
+        segments,
+        port.threads(),
+        placement.cost
     );
     if let Some((file, w)) = &measured {
         let total: u64 = w.iter().sum();
@@ -634,9 +610,11 @@ fn cmd_place(args: &[String]) -> Result<String, CliError> {
             st.emulations
         );
     }
-    if let Some(line) = portfolio_line {
-        out.push_str(&line);
-    }
+    let _ = writeln!(
+        out,
+        "portfolio: {} round(s), {} cross-pollination(s)",
+        stats.rounds, stats.cross_pollinations
+    );
     Ok(out)
 }
 
@@ -1542,7 +1520,6 @@ mod tests {
             "2",
             "--objective",
             "makespan",
-            "--portfolio",
             "--rounds",
             "2",
             "--time-budget",
@@ -1556,7 +1533,8 @@ mod tests {
             out.contains("portfolio:") && out.contains("round(s)"),
             "{out}"
         );
-        // A portfolio answer is never worse than the plain parallel search.
+        // Every run is a portfolio run; the default is one round, and more
+        // rounds never make the answer worse.
         let plain = run(&args(&[
             "place",
             &f,
@@ -1566,31 +1544,16 @@ mod tests {
             "makespan",
         ]))
         .unwrap();
+        assert!(plain.contains("portfolio: 1 round(s)"), "{plain}");
         assert_eq!(out.lines().next(), plain.lines().next(), "same placement");
-        // Error paths: the round/budget knobs require --portfolio, rounds
-        // must be positive, and --portfolio itself takes no value.
-        let orphan = run(&args(&["place", &f, "--segments", "2", "--rounds", "2"])).unwrap_err();
-        assert!(orphan.message.contains("--portfolio"), "{orphan}");
-        let orphan = run(&args(&[
-            "place",
-            &f,
-            "--segments",
-            "2",
-            "--time-budget",
-            "5",
-        ]))
-        .unwrap_err();
-        assert!(orphan.message.contains("--portfolio"), "{orphan}");
-        assert!(run(&args(&[
-            "place",
-            &f,
-            "--segments",
-            "2",
-            "--portfolio",
-            "--rounds",
-            "0"
-        ]))
-        .is_err());
+        // Error paths: the retired --portfolio flag is an unknown option,
+        // and rounds must be positive.
+        let retired = run(&args(&["place", &f, "--segments", "2", "--portfolio"])).unwrap_err();
+        assert!(
+            retired.message.contains("unknown option --portfolio"),
+            "{retired}"
+        );
+        assert!(run(&args(&["place", &f, "--segments", "2", "--rounds", "0"])).is_err());
     }
 
     #[test]
