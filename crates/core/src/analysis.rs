@@ -19,17 +19,6 @@ use crate::hist::Histogram;
 use crate::report::EmulationReport;
 use crate::trace::{TraceKind, TraceLog};
 
-/// Bus occupancy of one segment.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct BusUtilisation {
-    /// The segment.
-    pub segment: SegmentId,
-    /// Total time the bus was driven (sum of transaction intervals).
-    pub busy: Picos,
-    /// Busy time over the whole run (`0.0..=1.0`); zero for an empty run.
-    pub fraction: f64,
-}
-
 /// Per-package end-to-end latency statistics (compute start → delivery).
 ///
 /// `min`/`max`/`mean_ps` are `None` when no package was delivered —
@@ -225,32 +214,6 @@ pub fn analyze_trace(log: &TraceLog, segments: usize) -> BusAnalysis {
     }
 }
 
-/// Bus utilisation per segment, from the trace's `BusStart`/`BusEnd`
-/// pairs. Requires a traced run; returns one entry per segment.
-pub fn bus_utilisation(report: &EmulationReport) -> Vec<BusUtilisation> {
-    let trace = traced(report);
-    let span = report.makespan.0;
-    (0..report.sas.len())
-        .map(|i| {
-            let seg = SegmentId(i as u16);
-            let busy: u64 = trace
-                .bus_intervals(seg)
-                .iter()
-                .map(|(a, b)| b.0 - a.0)
-                .sum();
-            BusUtilisation {
-                segment: seg,
-                busy: Picos(busy),
-                fraction: if span == 0 {
-                    0.0
-                } else {
-                    busy as f64 / span as f64
-                },
-            }
-        })
-        .collect()
-}
-
 /// Instants at which each wave completed, in order.
 pub fn wave_boundaries(report: &EmulationReport) -> Vec<Picos> {
     traced(report)
@@ -274,11 +237,6 @@ pub fn wave_durations(report: &EmulationReport) -> Vec<Picos> {
 
 /// End-to-end latency of every package: from its `ComputeStart` to its
 /// `Delivered` event, matched by `(flow, package)`.
-pub fn package_latencies(report: &EmulationReport) -> Vec<(FlowId, u64, Picos)> {
-    trace_package_latencies(traced(report))
-}
-
-/// [`package_latencies`] over a bare trace (e.g. a decoded `.sbt` file).
 pub fn trace_package_latencies(trace: &TraceLog) -> Vec<(FlowId, u64, Picos)> {
     let mut starts: std::collections::HashMap<(FlowId, u64), Picos> =
         std::collections::HashMap::new();
@@ -302,12 +260,7 @@ pub fn trace_package_latencies(trace: &TraceLog) -> Vec<(FlowId, u64, Picos)> {
     out
 }
 
-/// Summary statistics over [`package_latencies`].
-pub fn latency_stats(report: &EmulationReport) -> LatencyStats {
-    trace_latency_stats(traced(report))
-}
-
-/// [`latency_stats`] over a bare trace (e.g. a decoded `.sbt` file).
+/// Summary statistics over [`trace_package_latencies`].
 pub fn trace_latency_stats(trace: &TraceLog) -> LatencyStats {
     let lats = trace_package_latencies(trace);
     if lats.is_empty() {
@@ -421,7 +374,7 @@ mod tests {
     #[test]
     fn utilisation_is_positive_and_bounded() {
         let r = traced_run();
-        let u = bus_utilisation(&r);
+        let u = analyze_trace(r.trace.as_ref().unwrap(), r.sas.len()).segments;
         assert_eq!(u.len(), 2);
         for b in &u {
             assert!(b.fraction >= 0.0 && b.fraction <= 1.0, "{b:?}");
@@ -446,13 +399,14 @@ mod tests {
     #[test]
     fn every_package_has_a_latency() {
         let r = traced_run();
-        let lats = package_latencies(&r);
+        let trace = r.trace.as_ref().unwrap();
+        let lats = trace_package_latencies(trace);
         assert_eq!(lats.len(), 4); // 2 packages per flow
         for (_, _, l) in &lats {
             // At least the compute time (50 or 100 ticks of 10 ns).
             assert!(l.0 >= 50 * 10_000, "{l:?}");
         }
-        let stats = latency_stats(&r);
+        let stats = trace_latency_stats(trace);
         assert_eq!(stats.count, 4);
         let (min, max) = (stats.min.unwrap(), stats.max.unwrap());
         let mean = stats.mean_ps.unwrap();
@@ -481,11 +435,6 @@ mod tests {
         // segment 1, 2 final hops on segment 2.
         assert_eq!(a.segments[0].serves, 4);
         assert_eq!(a.segments[1].serves, 2);
-        // Busy time agrees with the legacy per-report view.
-        let u = bus_utilisation(&r);
-        assert_eq!(a.segments[0].busy, u[0].busy);
-        assert_eq!(a.segments[1].busy, u[1].busy);
-        assert!((a.segments[0].fraction - u[0].fraction).abs() < 1e-12);
         // Every package raised exactly one request at its source SA
         // (both flows originate in segment 1).
         assert_eq!(a.segments[0].wait.count(), 4);
@@ -517,11 +466,12 @@ mod tests {
     #[test]
     fn empty_run_has_empty_stats() {
         let r = empty_run();
-        let stats = latency_stats(&r);
+        let trace = r.trace.as_ref().unwrap();
+        let stats = trace_latency_stats(trace);
         assert_eq!(stats, LatencyStats::default());
         assert_eq!(stats.min, None, "an empty run has no fastest package");
         assert!(wave_boundaries(&r).is_empty());
-        assert_eq!(bus_utilisation(&r)[0].fraction, 0.0);
+        assert_eq!(analyze_trace(trace, r.sas.len()).segments[0].fraction, 0.0);
     }
 
     #[test]
@@ -531,10 +481,6 @@ mod tests {
         // every fraction finite (no NaN) on a run with no activity.
         let r = empty_run();
         assert_eq!(r.makespan, Picos::ZERO);
-        for u in bus_utilisation(&r) {
-            assert_eq!(u.fraction, 0.0);
-            assert!(u.fraction.is_finite());
-        }
         let a = analyze_trace(r.trace.as_ref().unwrap(), r.sas.len());
         for s in &a.segments {
             assert!(s.fraction.is_finite());
@@ -559,14 +505,14 @@ mod tests {
             .unwrap();
         let psm = Psm::new(platform, app, alloc).unwrap();
         let r = Emulator::default().run(&psm); // no trace
-        let _ = bus_utilisation(&r);
+        let _ = wave_boundaries(&r);
     }
 
     #[test]
     fn mp3_utilisation_reflects_mapping() {
         let psm = segbus_apps::mp3::three_segment_psm();
         let r = Emulator::new(EmulatorConfig::traced()).run(&psm);
-        let u = bus_utilisation(&r);
+        let u = analyze_trace(r.trace.as_ref().unwrap(), r.sas.len()).segments;
         // Segment 3 hosts only P4: near-idle bus.
         assert!(u[2].fraction < u[0].fraction);
         assert!(u[2].fraction < u[1].fraction);

@@ -54,9 +54,8 @@ pub mod trace;
 pub mod vcd;
 
 pub use analysis::{
-    analyze_trace, bus_utilisation, gantt_csv, latency_stats, package_latencies,
-    trace_latency_stats, trace_package_latencies, wave_boundaries, wave_durations, BuActivity,
-    BusAnalysis, BusUtilisation, LatencyStats, SegmentActivity,
+    analyze_trace, gantt_csv, trace_latency_stats, trace_package_latencies, wave_boundaries,
+    wave_durations, BuActivity, BusAnalysis, LatencyStats, SegmentActivity,
 };
 pub use cache::{job_digest, job_digest_from, BatchJob, CacheStats, CachedPool, ReportCache};
 pub use config::{ArbitrationPolicy, EmulatorConfig, ProducerRelease, TimingParams};
@@ -65,7 +64,7 @@ pub use energy::{estimate_energy, EnergyBreakdown, EnergyModel};
 pub use engine::{Emulator, Engine, EnginePlan, LowerBoundScratch, PlanDelta};
 pub use gantt::ascii_gantt;
 pub use montecarlo::{run_monte_carlo, McOptions, McReport, McStats, UtilisationSpread};
-pub use parallel::{run_many, run_many_with, SweepPool};
+pub use parallel::SweepPool;
 pub use persist::DiskStore;
 pub use precheck::{is_emulable, strict_validate};
 pub use reference::ReferenceEmulator;

@@ -58,7 +58,8 @@ pub struct SweepPool {
 impl SweepPool {
     /// A pool using every available hardware thread.
     pub fn new(config: EmulatorConfig) -> SweepPool {
-        SweepPool::with_threads(config, available_threads())
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        SweepPool::with_threads(config, threads)
     }
 
     /// A pool capped at `threads` workers (`0` is treated as `1`).
@@ -139,26 +140,6 @@ impl SweepPool {
     }
 }
 
-/// Run every PSM with the default estimator configuration, in parallel.
-/// Results are returned in input order.
-pub fn run_many(psms: &[Psm]) -> Vec<EmulationReport> {
-    run_many_with(psms, EmulatorConfig::default(), available_threads())
-}
-
-/// Run every PSM with `config` on up to `threads` worker threads.
-///
-/// `threads == 1` degenerates to a sequential map (no threads spawned).
-pub fn run_many_with(psms: &[Psm], config: EmulatorConfig, threads: usize) -> Vec<EmulationReport> {
-    SweepPool::with_threads(config, threads).sweep(psms)
-}
-
-/// A reasonable worker count for independent runs.
-fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,20 +162,6 @@ mod tests {
             .build()
             .unwrap();
         Psm::new(platform, app, alloc).unwrap()
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let psms: Vec<Psm> = (1..=12).map(|k| psm(36 * k)).collect();
-        let seq = run_many_with(&psms, EmulatorConfig::default(), 1);
-        let par = run_many_with(&psms, EmulatorConfig::default(), 4);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.makespan, b.makespan);
-            assert_eq!(a.sas, b.sas);
-            assert_eq!(a.ca, b.ca);
-            assert_eq!(a.bus, b.bus);
-        }
     }
 
     /// Any worker count produces the same reports — the pool only changes
@@ -231,7 +198,7 @@ mod tests {
     #[test]
     fn results_in_input_order() {
         let psms: Vec<Psm> = (1..=8).map(|k| psm(36 * k)).collect();
-        let out = run_many(&psms);
+        let out = SweepPool::new(EmulatorConfig::default()).sweep(&psms);
         // More items => strictly longer makespan, so order checks placement.
         for w in out.windows(2) {
             assert!(w[0].makespan < w[1].makespan);
@@ -240,8 +207,9 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs() {
-        assert!(run_many(&[]).is_empty());
-        let one = run_many(&[psm(36)]);
+        let pool = SweepPool::new(EmulatorConfig::default());
+        assert!(pool.sweep(&[]).is_empty());
+        let one = pool.sweep(&[psm(36)]);
         assert_eq!(one.len(), 1);
     }
 

@@ -3,23 +3,20 @@
 //! This is the first implementation of the emulator (fresh state per run,
 //! `BinaryHeap` event queue, owned path vectors in every transfer). The
 //! specialised core in [`crate::fast`] replaced it on the hot path, and
-//! this copy is the only other implementation in the repo, with two jobs:
-//!
-//! * **oracle** — the differential tests (`fast.rs`, the core crate's
-//!   `tests/differential.rs`, and the workspace's `trace_differential`
-//!   and `fuzz_differential` suites) assert that the fast core reproduces
-//!   its reports, rejection codes and trace events exactly. Trace
-//!   *emission order* may differ under FIFO arbitration (see "Inline
-//!   FIFO dispatch" in [`crate::fast`]), so committed golden digests pin
-//!   the fast core's order instead;
-//! * **performance baseline** — the `exp_perf` harness times it to anchor
-//!   the speedup figure in `BENCH_engine.json`.
+//! this copy is the only other implementation in the repo. Its one job is
+//! to be the **oracle**: the differential tests (`fast.rs`, the core
+//! crate's `tests/differential.rs`, and the workspace's
+//! `trace_differential` and `fuzz_differential` suites) assert that the
+//! fast core reproduces its reports, rejection codes and trace events
+//! exactly. Trace *emission order* may differ under FIFO arbitration (see
+//! "Inline FIFO dispatch" in [`crate::fast`]), so committed golden digests
+//! pin the fast core's order instead.
 //!
 //! Apart from the type rename (`Emulator` → [`ReferenceEmulator`]), this
 //! header and the additive `try_run`/`try_run_frames` wrappers (which run
 //! the shared pre-flight validation and then call the verbatim engine),
-//! the code is untouched; keep it that way so the baseline stays
-//! meaningful.
+//! the code is untouched; keep it that way so the oracle stays an
+//! independent implementation.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};

@@ -2,9 +2,9 @@
 //!
 //! The experiment harness: one function (and one binary under `src/bin/`)
 //! per table or figure of the paper's evaluation, plus the ablations from
-//! DESIGN.md §5. Every function returns structured rows so the test-suite
-//! and the Criterion benches can assert on them; the binaries print the
-//! same rows the paper reports.
+//! DESIGN.md §5. Every function returns structured rows so the test suite
+//! can assert on them; the binaries print the same rows the paper
+//! reports.
 //!
 //! | binary | paper artifact |
 //! |---|---|

@@ -42,8 +42,6 @@
 
 pub mod config;
 pub mod sim;
-pub mod threaded;
 
 pub use config::RtlConfig;
 pub use sim::{RtlError, RtlSimulator};
-pub use threaded::ThreadedRtlSimulator;

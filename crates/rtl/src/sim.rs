@@ -4,29 +4,26 @@
 //! edge; on each edge the domain's components execute one step of their
 //! finite-state machines. Cross-domain communication goes exclusively
 //! through timestamped messages and synchronised flags whose visibility is
-//! **strictly later** than their emission (at least one synchroniser tick).
-//! That latency discipline is what makes the threaded driver
-//! ([`crate::threaded`]) bit-identical to the sequential one: domains that
-//! share an edge instant can be stepped in any order, or in parallel.
+//! **strictly later** than their emission (at least one synchroniser tick),
+//! so domains that share an edge instant never observe each other's
+//! same-instant effects and the order in which they are stepped does not
+//! matter.
 //!
 //! State is split accordingly:
 //!
 //! * `Ctx` — immutable: the PSM, the configuration, precomputed tables;
-//! * `DomainState` — owned exclusively by one segment's clock domain
-//!   (its SA FSM, its FUs, its counters);
+//! * `DomainState` — owned by one segment's clock domain (its SA FSM, its
+//!   FUs, its counters);
 //! * `CaState` — owned by the CA domain;
 //! * `Shared` — cross-domain mailboxes (CA inbox, per-SA reserve inbox,
 //!   per-FU delivery acks), border-unit registers, the transfer arena and
-//!   the wave scoreboard, behind mutexes and atomics.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//!   the wave scoreboard.
 
 use segbus_core::counters::{BuCounters, CaCounters, FuTimes, SaCounters};
 use segbus_core::report::EmulationReport;
 use segbus_model::ids::{FlowId, ProcessId, SegmentId};
 use segbus_model::mapping::Psm;
 use segbus_model::time::{ClockDomain, Picos};
-use std::sync::Mutex;
 
 use crate::config::RtlConfig;
 
@@ -72,7 +69,7 @@ impl RtlSimulator {
         &self.config
     }
 
-    /// Simulate the PSM to quiescence (sequential driver).
+    /// Simulate the PSM to quiescence.
     pub fn run(&self, psm: &Psm) -> Result<EmulationReport, RtlError> {
         self.run_frames(psm, 1)
     }
@@ -85,7 +82,7 @@ impl RtlSimulator {
     pub fn run_frames(&self, psm: &Psm, frames: u64) -> Result<EmulationReport, RtlError> {
         assert!(frames > 0, "at least one frame");
         let mut world = World::new(psm, self.config, frames);
-        world.run_sequential()?;
+        world.run()?;
         Ok(world.into_report())
     }
 }
@@ -93,22 +90,8 @@ impl RtlSimulator {
 // ---------------------------------------------------------------------------
 // identifiers & messages
 
-/// Transfer id: source segment in the high bits, per-segment index below,
-/// so concurrent allocation in the threaded driver stays deterministic.
-pub(crate) type Tid = u32;
-const TID_SEG_SHIFT: u32 = 20;
-
-fn tid(seg: SegmentId, idx: usize) -> Tid {
-    ((seg.0 as u32) << TID_SEG_SHIFT) | idx as u32
-}
-
-fn tid_seg(t: Tid) -> usize {
-    (t >> TID_SEG_SHIFT) as usize
-}
-
-fn tid_idx(t: Tid) -> usize {
-    (t & ((1 << TID_SEG_SHIFT) - 1)) as usize
-}
+/// Transfer id: an index into [`Shared::transfers`].
+type Tid = usize;
 
 /// Message to the central arbiter.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -131,15 +114,11 @@ struct Stamped<T> {
 
 /// Mailbox with a drain order independent of insertion interleaving.
 #[derive(Debug)]
-struct Mailbox<T>(Mutex<Vec<Stamped<T>>>);
+struct Mailbox<T>(Vec<Stamped<T>>);
 
 impl<T: Copy> Mailbox<T> {
-    fn new() -> Self {
-        Mailbox(Mutex::new(Vec::new()))
-    }
-
-    fn post(&self, visible_at: Picos, sender: u16, seq: u64, payload: T) {
-        self.0.lock().unwrap().push(Stamped {
+    fn post(&mut self, visible_at: Picos, sender: u16, seq: u64, payload: T) {
+        self.0.push(Stamped {
             visible_at,
             sender,
             seq,
@@ -149,13 +128,12 @@ impl<T: Copy> Mailbox<T> {
 
     /// Remove and return every message visible at `now`, ordered by
     /// `(visible_at, sender, seq)`.
-    fn drain_due(&self, now: Picos) -> Vec<Stamped<T>> {
-        let mut g = self.0.lock().unwrap();
+    fn drain_due(&mut self, now: Picos) -> Vec<Stamped<T>> {
         let mut due: Vec<Stamped<T>> = Vec::new();
         let mut i = 0;
-        while i < g.len() {
-            if g[i].visible_at <= now {
-                due.push(g.swap_remove(i));
+        while i < self.0.len() {
+            if self.0[i].visible_at <= now {
+                due.push(self.0.swap_remove(i));
             } else {
                 i += 1;
             }
@@ -165,7 +143,7 @@ impl<T: Copy> Mailbox<T> {
     }
 
     fn is_empty(&self) -> bool {
-        self.0.lock().unwrap().is_empty()
+        self.0.is_empty()
     }
 }
 
@@ -173,7 +151,7 @@ impl<T: Copy> Mailbox<T> {
 // shared state
 
 /// One in-flight inter-segment transfer.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Transfer {
     flow: FlowId,
     pkg: u64,
@@ -190,54 +168,56 @@ struct BuShared {
     counters: BuCounters,
 }
 
-pub(crate) struct Shared {
+impl BuShared {
+    /// Load transfer `t` from segment `from`; `bu_left` is the unit's
+    /// left-hand segment.
+    fn load(&mut self, bu_left: SegmentId, from: SegmentId, t: Tid, visible: Picos, now: Picos) {
+        debug_assert!(self.full.is_none(), "BU overwritten");
+        self.full = Some((t, visible, now));
+        if from == bu_left {
+            self.counters.received_from_left += 1;
+        } else {
+            self.counters.received_from_right += 1;
+        }
+    }
+}
+
+struct Shared {
     ca_inbox: Mailbox<CaMsg>,
     /// Per segment: path reservations arriving from the CA.
     sa_inbox: Vec<Mailbox<Tid>>,
     /// Per process: delivery acknowledgements (flow-control release).
     fu_ack: Vec<Mailbox<()>>,
-    bus: Vec<Mutex<BuShared>>,
-    /// Transfer arena, one sub-arena per source segment.
-    transfers: Vec<Mutex<Vec<Transfer>>>,
+    bus: Vec<BuShared>,
+    /// Every inter-segment transfer of the run, in allocation order.
+    transfers: Vec<Transfer>,
     // wave scoreboard (instances = frame × waves + wave)
     /// Outstanding deliveries per wave instance.
-    instance_remaining: Vec<AtomicU64>,
+    instance_remaining: Vec<u64>,
     /// Opening instant of each instance (`u64::MAX` = not open yet;
     /// wave-0 instances open at 0). Producers act strictly after the
     /// opening instant (time 0 exempt).
-    instance_open_at: Vec<AtomicU64>,
+    instance_open_at: Vec<u64>,
     /// Deliveries still outstanding over the whole run.
-    total_remaining: AtomicU64,
-    makespan: AtomicU64,
+    total_remaining: u64,
+    makespan: Picos,
 }
 
 impl Shared {
-    fn transfer(&self, t: Tid) -> Transfer {
-        self.transfers[tid_seg(t)].lock().unwrap()[tid_idx(t)].clone()
+    fn note_activity(&mut self, at: Picos) {
+        self.makespan = self.makespan.max(at);
     }
 
-    fn advance_hop(&self, t: Tid) {
-        self.transfers[tid_seg(t)].lock().unwrap()[tid_idx(t)].hop += 1;
-    }
-
-    fn note_activity(&self, at: Picos) {
-        self.makespan.fetch_max(at.0, Ordering::Relaxed);
-    }
-
-    pub(crate) fn mail_quiescent(&self) -> bool {
+    fn mail_quiescent(&self) -> bool {
         self.ca_inbox.is_empty()
             && self.sa_inbox.iter().all(Mailbox::is_empty)
             && self.fu_ack.iter().all(Mailbox::is_empty)
-            && self.bus.iter().all(|b| b.lock().unwrap().full.is_none())
-    }
-
-    pub(crate) fn waves_done(&self, _n_waves: usize) -> bool {
-        self.total_remaining.load(Ordering::Acquire) == 0
+            && self.bus.iter().all(|b| b.full.is_none())
     }
 
     /// `true` once instance `g` is open for producers at instant `now`.
     fn instance_openable(&self, g: usize, now: Picos) -> bool {
-        let at = self.instance_open_at[g].load(Ordering::Acquire);
+        let at = self.instance_open_at[g];
         at != u64::MAX && (now.0 > at || at == 0)
     }
 }
@@ -246,7 +226,7 @@ impl Shared {
 // immutable context
 
 /// Everything read-only during a run.
-pub(crate) struct Ctx<'a> {
+struct Ctx<'a> {
     psm: &'a Psm,
     cfg: RtlConfig,
     s: u32,
@@ -260,12 +240,6 @@ pub(crate) struct Ctx<'a> {
     /// Number of pipelined frames.
     frames: u64,
     ca_clock: ClockDomain,
-}
-
-impl<'a> Ctx<'a> {
-    pub(crate) fn wave_count(&self) -> usize {
-        self.waves.len()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -331,8 +305,8 @@ enum SaState {
     GrantReset { left: u64 },
 }
 
-/// Everything owned exclusively by one segment's clock domain.
-pub(crate) struct DomainState {
+/// Everything owned by one segment's clock domain.
+struct DomainState {
     seg: SegmentId,
     clock: ClockDomain,
     fus: Vec<Fu>,
@@ -345,17 +319,11 @@ pub(crate) struct DomainState {
     counters: SaCounters,
     /// Per-sender message sequence (deterministic mailbox ordering).
     seq: u64,
-    /// Next transfer index in this segment's arena.
-    next_tid_idx: usize,
 }
 
 impl DomainState {
-    pub(crate) fn clock(&self) -> ClockDomain {
-        self.clock
-    }
-
     /// `true` when this domain has nothing in flight and nothing pending.
-    pub(crate) fn idle(&self) -> bool {
+    fn idle(&self) -> bool {
         self.sa_state == SaState::Idle
             && self.reservations.is_empty()
             && self
@@ -366,7 +334,7 @@ impl DomainState {
 }
 
 /// State owned by the CA domain.
-pub(crate) struct CaState {
+struct CaState {
     clock: ClockDomain,
     queue: Vec<Tid>,
     reserved: Vec<Option<Tid>>,
@@ -376,161 +344,21 @@ pub(crate) struct CaState {
 }
 
 impl CaState {
-    pub(crate) fn clock(&self) -> ClockDomain {
-        self.clock
-    }
-
-    pub(crate) fn idle(&self) -> bool {
+    fn idle(&self) -> bool {
         self.queue.is_empty() && self.busy_left == 0 && self.reserved.iter().all(Option::is_none)
     }
 }
 
 // ---------------------------------------------------------------------------
-// construction
-
-pub(crate) fn build<'a>(
-    psm: &'a Psm,
-    cfg: RtlConfig,
-    frames: u64,
-) -> (Ctx<'a>, Shared, Vec<DomainState>, CaState) {
-    let app = psm.application();
-    let platform = psm.platform();
-    let s = platform.package_size();
-    let nseg = platform.segment_count();
-    let nproc = app.process_count();
-
-    let flow_pkgs: Vec<u64> = app.flows().iter().map(|f| f.packages(s)).collect();
-    let flow_compute: Vec<u64> = (0..app.flows().len())
-        .map(|i| app.ticks_per_package(FlowId(i as u32), s) + cfg.fu_setup_ticks)
-        .collect();
-    let waves: Vec<Vec<FlowId>> = app.waves().into_iter().map(|w| w.flows).collect();
-    let mut flow_wave = vec![0usize; app.flows().len()];
-    for (w, flows) in waves.iter().enumerate() {
-        for f in flows {
-            flow_wave[f.index()] = w;
-        }
-    }
-    let wave_sources: Vec<Vec<(ProcessId, FlowId)>> = waves
-        .iter()
-        .map(|w| w.iter().map(|&f| (app.flow(f).src, f)).collect())
-        .collect();
-
-    let mut outputs = vec![0u64; nproc];
-    let mut inputs = vec![0u64; nproc];
-    for (i, f) in app.flows().iter().enumerate() {
-        outputs[f.src.index()] += flow_pkgs[i] * frames;
-        inputs[f.dst.index()] += flow_pkgs[i] * frames;
-    }
-
-    let mut domains: Vec<DomainState> = (0..nseg)
-        .map(|si| DomainState {
-            seg: SegmentId(si as u16),
-            clock: platform.segment_clock(SegmentId(si as u16)),
-            fus: Vec::new(),
-            sa_state: SaState::Idle,
-            driver: None,
-            reservations: Vec::new(),
-            sa_rr: 0,
-            transfer_started: Picos::ZERO,
-            counters: SaCounters::default(),
-            seq: 0,
-            next_tid_idx: 0,
-        })
-        .collect();
-    for p in 0..nproc {
-        let pid = ProcessId(p as u32);
-        let seg = psm.segment_of(pid);
-        let my_waves: Vec<(usize, Vec<FlowId>)> = wave_sources
-            .iter()
-            .enumerate()
-            .filter_map(|(w, srcs)| {
-                let flows: Vec<FlowId> = srcs
-                    .iter()
-                    .filter(|(src, _)| *src == pid)
-                    .map(|(_, f)| *f)
-                    .collect();
-                (!flows.is_empty()).then_some((w, flows))
-            })
-            .collect();
-        let armed_frame = vec![0; my_waves.len()];
-        let mut fu = Fu {
-            id: pid,
-            pending: Vec::new(),
-            rr: 0,
-            my_waves,
-            armed_frame,
-            state: FuState::Idle,
-            times: FuTimes::default(),
-            outputs_remaining: outputs[p],
-            inputs_remaining: inputs[p],
-        };
-        if fu.outputs_remaining == 0 && fu.inputs_remaining == 0 {
-            fu.times.flag = true;
-        }
-        domains[seg.index()].fus.push(fu);
-    }
-
-    let per_wave: Vec<u64> = waves
-        .iter()
-        .map(|w| w.iter().map(|f| flow_pkgs[f.index()]).sum())
-        .collect();
-    let instance_remaining: Vec<AtomicU64> = (0..frames)
-        .flat_map(|_| per_wave.iter().map(|&n| AtomicU64::new(n)))
-        .collect();
-    let total: u64 = per_wave.iter().sum::<u64>() * frames;
-    // Wave-0 instances of every frame open at time zero (streaming with a
-    // full input buffer); the rest open as predecessors complete.
-    let instance_open_at: Vec<AtomicU64> = (0..frames)
-        .flat_map(|_| (0..waves.len()).map(|w| AtomicU64::new(if w == 0 { 0 } else { u64::MAX })))
-        .collect();
-
-    let shared = Shared {
-        ca_inbox: Mailbox::new(),
-        sa_inbox: (0..nseg).map(|_| Mailbox::new()).collect(),
-        fu_ack: (0..nproc).map(|_| Mailbox::new()).collect(),
-        bus: (0..platform.border_unit_count())
-            .map(|_| Mutex::new(BuShared::default()))
-            .collect(),
-        transfers: (0..nseg).map(|_| Mutex::new(Vec::new())).collect(),
-        instance_remaining,
-        instance_open_at,
-        total_remaining: AtomicU64::new(total),
-        makespan: AtomicU64::new(0),
-    };
-
-    let ca = CaState {
-        clock: platform.ca_clock(),
-        queue: Vec::new(),
-        reserved: vec![None; nseg],
-        busy_left: 0,
-        counters: CaCounters::default(),
-        seq: 0,
-    };
-
-    let ctx = Ctx {
-        psm,
-        cfg,
-        s,
-        flow_pkgs,
-        flow_compute,
-        waves,
-        flow_wave,
-        frames,
-        ca_clock: platform.ca_clock(),
-    };
-    (ctx, shared, domains, ca)
-}
-
-// ---------------------------------------------------------------------------
-// step functions (shared by the sequential and threaded drivers)
+// step functions
 
 /// One clock edge of a segment domain: functional units first, then the SA.
-pub(crate) fn step_segment(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: Picos) {
+fn step_segment(ctx: &Ctx<'_>, shared: &mut Shared, d: &mut DomainState, now: Picos) {
     step_fus(ctx, shared, d, now);
     step_sa(ctx, shared, d, now);
 }
 
-fn step_fus(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: Picos) {
+fn step_fus(ctx: &Ctx<'_>, shared: &mut Shared, d: &mut DomainState, now: Picos) {
     let n_waves = ctx.waves.len();
     for fu in &mut d.fus {
         if fu.state == FuState::WaitDelivery {
@@ -601,7 +429,7 @@ fn step_fus(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: Picos) {
     }
 }
 
-fn step_sa(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: Picos) {
+fn step_sa(ctx: &Ctx<'_>, shared: &mut Shared, d: &mut DomainState, now: Picos) {
     let si = d.seg.index();
     // Accept path reservations from the CA.
     for m in shared.sa_inbox[si].drain_due(now) {
@@ -621,10 +449,8 @@ fn step_sa(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: Picos) {
             let dst_seg = ctx.psm.segment_of(f.dst);
             if dst_seg != d.seg {
                 let path = ctx.psm.platform().path_segments(d.seg, dst_seg);
-                let idx = d.next_tid_idx;
-                d.next_tid_idx += 1;
-                let t = tid(d.seg, idx);
-                shared.transfers[si].lock().unwrap().push(Transfer {
+                let t = shared.transfers.len();
+                shared.transfers.push(Transfer {
                     flow,
                     pkg,
                     path,
@@ -720,7 +546,7 @@ fn sa_pick(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: Picos) {
     // 1. A ready reservation?
     let mut pick: Option<(usize, Driver)> = None;
     for (ri, &t) in d.reservations.iter().enumerate() {
-        let tr = shared.transfer(t);
+        let tr = &shared.transfers[t];
         if tr.path[tr.hop] != d.seg {
             continue; // not this segment's turn yet
         }
@@ -759,11 +585,8 @@ fn sa_pick(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: Picos) {
                 .bu_between(prev, d.seg)
                 .expect("path hops adjacent");
             let ready = shared.bus[bu.index()]
-                .lock()
-                .unwrap()
                 .full
-                .map(|(ft, visible_at, _)| ft == t && visible_at <= now)
-                .unwrap_or(false);
+                .is_some_and(|(ft, visible_at, _)| ft == t && visible_at <= now);
             if ready {
                 pick = Some((ri, Driver::Bu { t }));
                 break;
@@ -821,7 +644,7 @@ fn sa_pick(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: Picos) {
 }
 
 /// Effects of a finished bus transaction on this segment.
-fn complete_transaction(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: Picos) {
+fn complete_transaction(ctx: &Ctx<'_>, shared: &mut Shared, d: &mut DomainState, now: Picos) {
     let driver = d.driver.expect("transaction has a driver");
     match driver {
         Driver::Fu {
@@ -847,8 +670,7 @@ fn complete_transaction(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now
             inter: Some(t),
         } => {
             // Source fill completed: the package sits in the first BU.
-            let tr = shared.transfer(t);
-            let next = tr.path[1];
+            let next = shared.transfers[t].path[1];
             let bu = ctx
                 .psm
                 .platform()
@@ -856,16 +678,7 @@ fn complete_transaction(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now
                 .expect("adjacent");
             let next_clock = ctx.psm.platform().segment_clock(next);
             let visible = now + Picos(ctx.cfg.sync_ticks * next_clock.period_ps());
-            {
-                let mut b = shared.bus[bu.index()].lock().unwrap();
-                debug_assert!(b.full.is_none(), "BU overwritten");
-                b.full = Some((t, visible, now));
-                if d.seg == bu.left {
-                    b.counters.received_from_left += 1;
-                } else {
-                    b.counters.received_from_right += 1;
-                }
-            }
+            shared.bus[bu.index()].load(bu.left, d.seg, t, visible, now);
             // Side = the source's position on its first-hop BU (covers a
             // ring's wrap-around unit).
             if d.seg == bu.left {
@@ -873,14 +686,15 @@ fn complete_transaction(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now
             } else {
                 d.counters.packets_to_left += 1;
             }
-            shared.advance_hop(t);
+            shared.transfers[t].hop += 1;
             d.fus[fu].state = FuState::WaitDelivery;
             segment_done_to_ca(ctx, shared, d, now);
         }
         Driver::Bu { t } => {
-            let tr = shared.transfer(t);
-            let hop = tr.hop;
+            let tr = &shared.transfers[t];
+            let (flow, pkg, hop, last) = (tr.flow, tr.pkg, tr.hop, tr.path.len() - 1);
             let prev = tr.path[hop - 1];
+            let next = (hop < last).then(|| tr.path[hop + 1]);
             let bu_in = ctx
                 .psm
                 .platform()
@@ -889,60 +703,52 @@ fn complete_transaction(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now
             // Unload accounting: WP runs from the load instant to the
             // moment this unload transfer started driving beats.
             let started = d.transfer_started;
-            {
-                let mut b = shared.bus[bu_in.index()].lock().unwrap();
-                let (ft, _, loaded_at) = b.full.take().expect("BU was full");
-                debug_assert_eq!(ft, t);
-                let wp = d.clock.ticks_at(started.saturating_sub(loaded_at));
-                b.counters.waiting_ticks += wp;
-                b.counters.tct += 2 * ctx.s as u64 + wp;
-                if d.seg == bu_in.right {
-                    b.counters.transferred_to_right += 1;
-                } else {
-                    b.counters.transferred_to_left += 1;
-                }
-            }
-            if hop == tr.path.len() - 1 {
-                // Final hop: deliver, then acknowledge the producer
-                // (producer-side bookkeeping happens at ack receipt in the
-                // producer's own domain — see step_fus).
-                deliver(ctx, shared, d, tr.flow, tr.pkg, now);
-                let src = ctx.psm.application().flow(tr.flow).src;
-                let src_clock = ctx.psm.platform().segment_clock(ctx.psm.segment_of(src));
-                let ack_at = now
-                    + Picos(
-                        ctx.cfg.sync_ticks * (ctx.ca_clock.period_ps() + src_clock.period_ps()),
-                    );
-                let seq = d.seq;
-                d.seq += 1;
-                shared.fu_ack[src.index()].post(ack_at, d.seg.0, seq, ());
+            let b = &mut shared.bus[bu_in.index()];
+            let (ft, _, loaded_at) = b.full.take().expect("BU was full");
+            debug_assert_eq!(ft, t);
+            let wp = d.clock.ticks_at(started.saturating_sub(loaded_at));
+            b.counters.waiting_ticks += wp;
+            b.counters.tct += 2 * ctx.s as u64 + wp;
+            if d.seg == bu_in.right {
+                b.counters.transferred_to_right += 1;
             } else {
-                // Load the next BU.
-                let next = tr.path[hop + 1];
-                let bu_out = ctx
-                    .psm
-                    .platform()
-                    .bu_between(d.seg, next)
-                    .expect("adjacent");
-                let next_clock = ctx.psm.platform().segment_clock(next);
-                let visible = now + Picos(ctx.cfg.sync_ticks * next_clock.period_ps());
-                let mut b = shared.bus[bu_out.index()].lock().unwrap();
-                debug_assert!(b.full.is_none(), "BU overwritten");
-                b.full = Some((t, visible, now));
-                if d.seg == bu_out.left {
-                    b.counters.received_from_left += 1;
-                } else {
-                    b.counters.received_from_right += 1;
+                b.counters.transferred_to_left += 1;
+            }
+            match next {
+                None => {
+                    // Final hop: deliver, then acknowledge the producer
+                    // (producer-side bookkeeping happens at ack receipt in
+                    // the producer's own domain — see step_fus).
+                    deliver(ctx, shared, d, flow, pkg, now);
+                    let src = ctx.psm.application().flow(flow).src;
+                    let src_clock = ctx.psm.platform().segment_clock(ctx.psm.segment_of(src));
+                    let ack_at = now
+                        + Picos(
+                            ctx.cfg.sync_ticks * (ctx.ca_clock.period_ps() + src_clock.period_ps()),
+                        );
+                    let seq = d.seq;
+                    d.seq += 1;
+                    shared.fu_ack[src.index()].post(ack_at, d.seg.0, seq, ());
                 }
-                drop(b);
-                shared.advance_hop(t);
+                Some(next) => {
+                    // Load the next BU.
+                    let bu_out = ctx
+                        .psm
+                        .platform()
+                        .bu_between(d.seg, next)
+                        .expect("adjacent");
+                    let next_clock = ctx.psm.platform().segment_clock(next);
+                    let visible = now + Picos(ctx.cfg.sync_ticks * next_clock.period_ps());
+                    shared.bus[bu_out.index()].load(bu_out.left, d.seg, t, visible, now);
+                    shared.transfers[t].hop += 1;
+                }
             }
             segment_done_to_ca(ctx, shared, d, now);
         }
     }
 }
 
-fn segment_done_to_ca(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: Picos) {
+fn segment_done_to_ca(ctx: &Ctx<'_>, shared: &mut Shared, d: &mut DomainState, now: Picos) {
     let visible = now + Picos(ctx.cfg.sync_ticks * ctx.ca_clock.period_ps());
     let seq = d.seq;
     d.seq += 1;
@@ -955,7 +761,7 @@ fn segment_done_to_ca(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: 
 /// lives on the segment executing the final hop, i.e. in this domain).
 fn deliver(
     ctx: &Ctx<'_>,
-    shared: &Shared,
+    shared: &mut Shared,
     d: &mut DomainState,
     flow: FlowId,
     pkg: u64,
@@ -985,16 +791,16 @@ fn deliver(
     let frame = pkg / ctx.flow_pkgs[flow.index()];
     let w = ctx.flow_wave[flow.index()];
     let g = frame as usize * n_waves + w;
-    let left = shared.instance_remaining[g].fetch_sub(1, Ordering::AcqRel) - 1;
-    if left == 0 && w + 1 < n_waves {
+    shared.instance_remaining[g] -= 1;
+    if shared.instance_remaining[g] == 0 && w + 1 < n_waves {
         // Open the next wave of this frame; visibility strictly after.
-        shared.instance_open_at[g + 1].store(now.0, Ordering::Release);
+        shared.instance_open_at[g + 1] = now.0;
     }
-    shared.total_remaining.fetch_sub(1, Ordering::AcqRel);
+    shared.total_remaining -= 1;
 }
 
 /// One clock edge of the CA domain.
-pub(crate) fn step_ca(ctx: &Ctx<'_>, shared: &Shared, ca: &mut CaState, now: Picos) {
+fn step_ca(ctx: &Ctx<'_>, shared: &mut Shared, ca: &mut CaState, now: Picos) {
     for m in shared.ca_inbox.drain_due(now) {
         match m.payload {
             CaMsg::Request(t) => {
@@ -1016,28 +822,27 @@ pub(crate) fn step_ca(ctx: &Ctx<'_>, shared: &Shared, ca: &mut CaState, now: Pic
         return;
     }
     // First-fit grant scan, one grant per polling round.
-    let mut i = 0;
-    while i < ca.queue.len() {
-        let t = ca.queue[i];
-        let tr = shared.transfer(t);
-        let free = tr.path.iter().all(|m| ca.reserved[m.index()].is_none());
-        if free {
-            ca.queue.remove(i);
-            for m in &tr.path {
-                ca.reserved[m.index()] = Some(t);
-                let clock = ctx.psm.platform().segment_clock(*m);
-                let visible = now + Picos(ctx.cfg.sync_ticks * clock.period_ps());
-                let seq = ca.seq;
-                ca.seq += 1;
-                shared.sa_inbox[m.index()].post(visible, u16::MAX, seq, t);
-            }
-            ca.counters.grants += 1;
-            ca.busy_left += ctx.cfg.ca_grant_ticks;
-            shared.note_activity(now);
-            break;
-        }
-        i += 1;
+    let free = |t: Tid| {
+        shared.transfers[t]
+            .path
+            .iter()
+            .all(|m| ca.reserved[m.index()].is_none())
+    };
+    let Some(i) = ca.queue.iter().position(|&t| free(t)) else {
+        return;
+    };
+    let t = ca.queue.remove(i);
+    for m in &shared.transfers[t].path {
+        ca.reserved[m.index()] = Some(t);
+        let clock = ctx.psm.platform().segment_clock(*m);
+        let visible = now + Picos(ctx.cfg.sync_ticks * clock.period_ps());
+        let seq = ca.seq;
+        ca.seq += 1;
+        shared.sa_inbox[m.index()].post(visible, u16::MAX, seq, t);
     }
+    ca.counters.grants += 1;
+    ca.busy_left += ctx.cfg.ca_grant_ticks;
+    shared.note_activity(now);
 }
 
 /// Round-robin selection of the producer's next `(flow, package)`; the
@@ -1061,77 +866,152 @@ fn pick_next(fu: &mut Fu, flow_pkgs: &[u64]) -> Option<(FlowId, u64)> {
     Some((flow, pkg))
 }
 
-/// Assemble the final report from the drained world.
-pub(crate) fn build_report(
-    ctx: &Ctx<'_>,
-    shared: &Shared,
-    domains: &[DomainState],
-    ca: &CaState,
-) -> EmulationReport {
-    let mut makespan = Picos(shared.makespan.load(Ordering::Relaxed));
-    for d in domains {
-        makespan = makespan.max(d.counters.last_activity);
-    }
-    let nproc = ctx.psm.application().process_count();
-    let mut fus = vec![FuTimes::default(); nproc];
-    let mut sas = Vec::with_capacity(domains.len());
-    let mut clocks = Vec::with_capacity(domains.len());
-    for d in domains {
-        for fu in &d.fus {
-            fus[fu.id.index()] = fu.times;
-        }
-        let mut c = d.counters;
-        c.tct = d.clock.ticks_covering(c.last_activity);
-        sas.push(c);
-        clocks.push(d.clock);
-    }
-    let mut cac = ca.counters;
-    cac.tct = ca.clock.ticks_covering(makespan);
-    let bus = shared
-        .bus
-        .iter()
-        .map(|b| b.lock().unwrap().counters)
-        .collect();
-    EmulationReport {
-        sas,
-        ca: cac,
-        bus,
-        bu_refs: ctx.psm.platform().border_units().collect(),
-        fus,
-        segment_clocks: clocks,
-        ca_clock: ca.clock,
-        package_size: ctx.s,
-        makespan,
-        trace: None,
-    }
-}
-
 // ---------------------------------------------------------------------------
-// the sequential driver
+// the driver
 
-pub(crate) struct World<'a> {
-    pub(crate) ctx: Ctx<'a>,
-    pub(crate) shared: Shared,
-    pub(crate) domains: Vec<DomainState>,
-    pub(crate) ca: CaState,
+struct World<'a> {
+    ctx: Ctx<'a>,
+    shared: Shared,
+    domains: Vec<DomainState>,
+    ca: CaState,
+    /// Next edge instant per domain: segments first, the CA last.
     next_edge: Vec<Picos>,
 }
 
 impl<'a> World<'a> {
-    pub(crate) fn new(psm: &'a Psm, cfg: RtlConfig, frames: u64) -> World<'a> {
-        let (ctx, shared, domains, ca) = build(psm, cfg, frames);
-        let n = domains.len() + 1;
+    fn new(psm: &'a Psm, cfg: RtlConfig, frames: u64) -> World<'a> {
+        let app = psm.application();
+        let platform = psm.platform();
+        let s = platform.package_size();
+        let nseg = platform.segment_count();
+        let nproc = app.process_count();
+
+        let flow_pkgs: Vec<u64> = app.flows().iter().map(|f| f.packages(s)).collect();
+        let flow_compute: Vec<u64> = (0..app.flows().len())
+            .map(|i| app.ticks_per_package(FlowId(i as u32), s) + cfg.fu_setup_ticks)
+            .collect();
+        let waves: Vec<Vec<FlowId>> = app.waves().into_iter().map(|w| w.flows).collect();
+        let mut flow_wave = vec![0usize; app.flows().len()];
+        for (w, flows) in waves.iter().enumerate() {
+            for f in flows {
+                flow_wave[f.index()] = w;
+            }
+        }
+        let wave_sources: Vec<Vec<(ProcessId, FlowId)>> = waves
+            .iter()
+            .map(|w| w.iter().map(|&f| (app.flow(f).src, f)).collect())
+            .collect();
+
+        let mut outputs = vec![0u64; nproc];
+        let mut inputs = vec![0u64; nproc];
+        for (i, f) in app.flows().iter().enumerate() {
+            outputs[f.src.index()] += flow_pkgs[i] * frames;
+            inputs[f.dst.index()] += flow_pkgs[i] * frames;
+        }
+
+        let mut domains: Vec<DomainState> = (0..nseg)
+            .map(|si| DomainState {
+                seg: SegmentId(si as u16),
+                clock: platform.segment_clock(SegmentId(si as u16)),
+                fus: Vec::new(),
+                sa_state: SaState::Idle,
+                driver: None,
+                reservations: Vec::new(),
+                sa_rr: 0,
+                transfer_started: Picos::ZERO,
+                counters: SaCounters::default(),
+                seq: 0,
+            })
+            .collect();
+        for p in 0..nproc {
+            let pid = ProcessId(p as u32);
+            let seg = psm.segment_of(pid);
+            let my_waves: Vec<(usize, Vec<FlowId>)> = wave_sources
+                .iter()
+                .enumerate()
+                .filter_map(|(w, srcs)| {
+                    let flows: Vec<FlowId> = srcs
+                        .iter()
+                        .filter(|(src, _)| *src == pid)
+                        .map(|(_, f)| *f)
+                        .collect();
+                    (!flows.is_empty()).then_some((w, flows))
+                })
+                .collect();
+            let armed_frame = vec![0; my_waves.len()];
+            let mut fu = Fu {
+                id: pid,
+                pending: Vec::new(),
+                rr: 0,
+                my_waves,
+                armed_frame,
+                state: FuState::Idle,
+                times: FuTimes::default(),
+                outputs_remaining: outputs[p],
+                inputs_remaining: inputs[p],
+            };
+            if fu.outputs_remaining == 0 && fu.inputs_remaining == 0 {
+                fu.times.flag = true;
+            }
+            domains[seg.index()].fus.push(fu);
+        }
+
+        let per_wave: Vec<u64> = waves
+            .iter()
+            .map(|w| w.iter().map(|f| flow_pkgs[f.index()]).sum())
+            .collect();
+        let instance_remaining: Vec<u64> = (0..frames).flat_map(|_| per_wave.clone()).collect();
+        let total_remaining: u64 = per_wave.iter().sum::<u64>() * frames;
+        // Wave-0 instances of every frame open at time zero (streaming with
+        // a full input buffer); the rest open as predecessors complete.
+        let instance_open_at: Vec<u64> = (0..frames)
+            .flat_map(|_| (0..waves.len()).map(|w| if w == 0 { 0 } else { u64::MAX }))
+            .collect();
+
+        let shared = Shared {
+            ca_inbox: Mailbox(Vec::new()),
+            sa_inbox: (0..nseg).map(|_| Mailbox(Vec::new())).collect(),
+            fu_ack: (0..nproc).map(|_| Mailbox(Vec::new())).collect(),
+            bus: (0..platform.border_unit_count())
+                .map(|_| BuShared::default())
+                .collect(),
+            transfers: Vec::new(),
+            instance_remaining,
+            instance_open_at,
+            total_remaining,
+            makespan: Picos::ZERO,
+        };
+
+        let ca = CaState {
+            clock: platform.ca_clock(),
+            queue: Vec::new(),
+            reserved: vec![None; nseg],
+            busy_left: 0,
+            counters: CaCounters::default(),
+            seq: 0,
+        };
+
         World {
-            ctx,
+            ctx: Ctx {
+                psm,
+                cfg,
+                s,
+                flow_pkgs,
+                flow_compute,
+                waves,
+                flow_wave,
+                frames,
+                ca_clock: platform.ca_clock(),
+            },
             shared,
             domains,
             ca,
-            next_edge: vec![Picos::ZERO; n],
+            next_edge: vec![Picos::ZERO; nseg + 1],
         }
     }
 
     fn quiescent(&self) -> bool {
-        self.shared.waves_done(self.ctx.wave_count())
+        self.shared.total_remaining == 0
             && self.domains.iter().all(DomainState::idle)
             && self.ca.idle()
             && self.shared.mail_quiescent()
@@ -1152,14 +1032,13 @@ impl<'a> World<'a> {
         }
         out.push_str(&format!(
             "ca queue={:?} reserved={:?}; deliveries remaining {}",
-            self.ca.queue,
-            self.ca.reserved,
-            self.shared.total_remaining.load(Ordering::Relaxed),
+            self.ca.queue, self.ca.reserved, self.shared.total_remaining,
         ));
         out
     }
 
-    pub(crate) fn run_sequential(&mut self) -> Result<(), RtlError> {
+    /// Step every domain edge by edge until quiescence or the tick cap.
+    fn run(&mut self) -> Result<(), RtlError> {
         let fastest = self
             .domains
             .iter()
@@ -1179,12 +1058,12 @@ impl<'a> World<'a> {
             }
             for si in 0..nseg {
                 if self.next_edge[si] == t {
-                    step_segment(&self.ctx, &self.shared, &mut self.domains[si], t);
+                    step_segment(&self.ctx, &mut self.shared, &mut self.domains[si], t);
                     self.next_edge[si] = t + Picos(self.domains[si].clock.period_ps());
                 }
             }
             if self.next_edge[nseg] == t {
-                step_ca(&self.ctx, &self.shared, &mut self.ca, t);
+                step_ca(&self.ctx, &mut self.shared, &mut self.ca, t);
                 self.next_edge[nseg] = t + Picos(self.ca.clock.period_ps());
             }
             if self.quiescent() {
@@ -1193,8 +1072,39 @@ impl<'a> World<'a> {
         }
     }
 
-    pub(crate) fn into_report(self) -> EmulationReport {
-        build_report(&self.ctx, &self.shared, &self.domains, &self.ca)
+    /// Assemble the final report from the drained world.
+    fn into_report(self) -> EmulationReport {
+        let mut makespan = self.shared.makespan;
+        for d in &self.domains {
+            makespan = makespan.max(d.counters.last_activity);
+        }
+        let nproc = self.ctx.psm.application().process_count();
+        let mut fus = vec![FuTimes::default(); nproc];
+        let mut sas = Vec::with_capacity(self.domains.len());
+        let mut clocks = Vec::with_capacity(self.domains.len());
+        for d in &self.domains {
+            for fu in &d.fus {
+                fus[fu.id.index()] = fu.times;
+            }
+            let mut c = d.counters;
+            c.tct = d.clock.ticks_covering(c.last_activity);
+            sas.push(c);
+            clocks.push(d.clock);
+        }
+        let mut cac = self.ca.counters;
+        cac.tct = self.ca.clock.ticks_covering(makespan);
+        EmulationReport {
+            sas,
+            ca: cac,
+            bus: self.shared.bus.iter().map(|b| b.counters).collect(),
+            bu_refs: self.ctx.psm.platform().border_units().collect(),
+            fus,
+            segment_clocks: clocks,
+            ca_clock: self.ca.clock,
+            package_size: self.ctx.s,
+            makespan,
+            trace: None,
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! Adversarial-client and fault-injection hardening tests: slow-loris
 //! writers, mid-batch disconnects, shutdown under load, worker-panic
 //! containment, the global in-flight cap (`S005` shed with a surviving
-//! connection) and oversize-line resync.
+//! connection), oversize-line resync and 1024 concurrent pipelining
+//! connections.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -261,5 +262,63 @@ fn oversize_line_resyncs() {
     assert_eq!(code(&v), Some("S003"), "{v:?}");
     let v = request(&mut stream, "{\"id\": 5, \"cmd\": \"stats\"}");
     assert!(is_ok(&v), "decoder lost sync: {v:?}");
+    server.shutdown();
+}
+
+/// 1024 concurrent loopback connections, each pipelining two full
+/// windows of emulate requests: every request is answered `ok` on its
+/// own connection and, with the in-flight cap sized for every window,
+/// nothing is shed. Ignored by default because the ~2048 sockets exceed
+/// macOS's default soft limit of 256 file descriptors; run it with
+/// `-- --include-ignored` where the limit allows.
+#[test]
+#[ignore = "opens ~2048 sockets"]
+fn thousand_connections_are_all_answered_without_sheds() {
+    const CONNECTIONS: usize = 1024;
+    const WINDOW: usize = 8;
+    const ROUNDS: usize = 2;
+    const DISTINCT_JOBS: u64 = 32;
+    let mut server = start(|o| {
+        o.cache_capacity = 4 * DISTINCT_JOBS as usize;
+        o.window = WINDOW;
+        o.max_in_flight = CONNECTIONS * WINDOW;
+    });
+    let addr = server.addr();
+    let mut conns: Vec<_> = (0..CONNECTIONS)
+        .map(|_| {
+            let s = TcpStream::connect(addr).unwrap();
+            let r = BufReader::new(s.try_clone().unwrap());
+            (s, r)
+        })
+        .collect();
+
+    let mut answered = 0;
+    for round in 0..ROUNDS {
+        // Every connection has a full window in flight before any
+        // response is read.
+        for (c, (stream, _)) in conns.iter_mut().enumerate() {
+            let mut burst = String::new();
+            for w in 0..WINDOW {
+                let id = ((c * ROUNDS + round) * WINDOW + w) as u64;
+                burst.push_str(&emulate_line(id, 1 + id % DISTINCT_JOBS));
+                burst.push('\n');
+            }
+            stream.write_all(burst.as_bytes()).unwrap();
+        }
+        for (_, reader) in conns.iter_mut() {
+            for _ in 0..WINDOW {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                assert!(!line.is_empty(), "server closed a connection");
+                assert!(is_ok(&json::parse(&line).unwrap()), "{line}");
+                answered += 1;
+            }
+        }
+    }
+    assert_eq!(answered, CONNECTIONS * ROUNDS * WINDOW, "lost responses");
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let v = request(&mut stream, "{\"id\": 1, \"cmd\": \"stats\"}");
+    assert_eq!(v.get("sheds").and_then(Json::as_u64), Some(0), "{v:?}");
     server.shutdown();
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use segbus::apps::mp3;
-use segbus::emu::{run_many, EmulationReport};
+use segbus::emu::{EmulationReport, EmulatorConfig, SweepPool};
 use segbus::model::mapping::Psm;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         .collect();
 
     // One emulation per package size, fanned out over worker threads.
-    let reports: Vec<EmulationReport> = run_many(&psms);
+    let reports: Vec<EmulationReport> = SweepPool::new(EmulatorConfig::default()).sweep(&psms);
 
     println!("package-size sweep — MP3 decoder, 3 segments (Fig. 9 allocation)\n");
     println!(

@@ -20,4 +20,7 @@ cargo test --workspace -q
 echo "== fuzz smoke (10k inputs) =="
 cargo test --release -q --test fuzz_differential -- --ignored
 
+echo "== reference-simulator regressions (release, ignored) =="
+cargo test --release -q -p segbus-rtl -- --ignored
+
 echo "verify: OK"

@@ -673,7 +673,7 @@ fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
     for psm in &psms {
         precheck(psm, 1, path)?;
     }
-    let reports = segbus_core::run_many(&psms);
+    let reports = SweepPool::new(EmulatorConfig::default()).sweep(&psms);
     let mut out = format!("{:>8} {:>12}\n", "size", "est_us");
     for (s, r) in sizes.iter().zip(&reports) {
         let _ = writeln!(out, "{s:>8} {:>12.2}", r.execution_time().as_micros_f64());
