@@ -193,12 +193,17 @@ impl ReportCache {
 
     /// Look `key` up, counting a hit or miss and refreshing recency.
     pub fn get(&mut self, key: u64) -> Option<EmulationReport> {
+        self.touch(key).cloned()
+    }
+
+    /// [`ReportCache::get`] without the copy: the resident report.
+    fn touch(&mut self, key: u64) -> Option<&EmulationReport> {
         match self.map.get(&key).copied() {
             Some(i) => {
                 self.hits += 1;
                 self.detach(i);
                 self.push_front(i);
-                Some(self.slab[i].report.clone())
+                Some(&self.slab[i].report)
             }
             None => {
                 self.misses += 1;
@@ -399,14 +404,21 @@ impl CachedPool {
     /// emulation loop (the parallel placement search): they consult the
     /// shared tiers first and [`CachedPool::insert`] what they compute.
     pub fn lookup(&mut self, key: u64) -> Option<EmulationReport> {
+        self.lookup_with(key, EmulationReport::clone)
+    }
+
+    /// [`CachedPool::lookup`] that reads the hit in place with `view`
+    /// instead of copying it out.
+    fn lookup_with<R>(&mut self, key: u64, view: impl FnOnce(&EmulationReport) -> R) -> Option<R> {
         if self.cache.contains(key) {
-            return self.cache.get(key);
+            return self.cache.touch(key).map(view);
         }
         if let Some(report) = self.disk.as_mut().and_then(|d| d.get(key)) {
             self.cache.hits += 1;
             self.disk_hits += 1;
-            self.insert_and_spill(key, report.clone());
-            return Some(report);
+            let out = view(&report);
+            self.insert_and_spill(key, report);
+            return Some(out);
         }
         self.cache.misses += 1;
         None
@@ -416,10 +428,15 @@ impl CachedPool {
     /// persistent tier (best-effort) and insert into memory, spilling the
     /// LRU evictee to disk. The counterpart of [`CachedPool::lookup`].
     pub fn insert(&mut self, key: u64, report: &EmulationReport) {
+        self.store(key, report.clone());
+    }
+
+    /// [`CachedPool::insert`] taking the report by value.
+    fn store(&mut self, key: u64, report: EmulationReport) {
         if let Some(disk) = self.disk.as_mut() {
-            let _ = disk.append(key, report);
+            let _ = disk.append(key, &report);
         }
-        self.insert_and_spill(key, report.clone());
+        self.insert_and_spill(key, report);
     }
 
     /// Run a batch, answering duplicates from the cache. Results are in
@@ -429,51 +446,100 @@ impl CachedPool {
     /// from the in-flight first occurrence rather than a fresh emulation,
     /// so only the first occurrence of each digest registers a miss.
     pub fn run_batch(&mut self, jobs: &[BatchJob]) -> Vec<Result<EmulationReport, SegbusError>> {
+        let keys: Vec<u64> = jobs.iter().map(BatchJob::digest).collect();
+        // A job whose config differs from the pool default gets a one-off
+        // engine; the common case reuses the worker's warm scratch state.
+        self.run_keyed(
+            &keys,
+            || (),
+            |engine, _, i| {
+                let job = &jobs[i];
+                if *engine.config() == job.config {
+                    engine.try_run_frames(&job.psm, job.frames)
+                } else {
+                    Engine::new(job.config).try_run_frames(&job.psm, job.frames)
+                }
+            },
+            EmulationReport::clone,
+        )
+    }
+
+    /// The one keyed batch runner behind [`CachedPool::run_batch`] and
+    /// Monte-Carlo estimation. Job `i` is identified by the caller-computed
+    /// cache key `keys[i]`; `run(engine, state, i)` emulates it on a pool
+    /// worker, with `state` made once per worker by `init`; `view` reads
+    /// what the caller wants from a report.
+    ///
+    /// Each key is answered from memory, then disk, then by running the
+    /// first job that carries it; in-batch duplicates of a miss count as
+    /// hits and share its result. A hit is viewed in place. A fresh report
+    /// is viewed on its worker and then moved into the cache (written
+    /// through to disk), so no report is copied on the calling thread.
+    /// Errors are returned, never cached. Results are in input order and
+    /// independent of the pool's thread count.
+    pub(crate) fn run_keyed<S, R, I, F, V>(
+        &mut self,
+        keys: &[u64],
+        init: I,
+        run: F,
+        view: V,
+    ) -> Vec<Result<R, SegbusError>>
+    where
+        R: Clone + Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut Engine, &mut S, usize) -> Result<EmulationReport, SegbusError> + Sync,
+        V: Fn(&EmulationReport) -> R + Sync,
+    {
         // Phase 1: resolve hits and collect the distinct misses.
-        let mut results: Vec<Option<Result<EmulationReport, SegbusError>>> =
-            (0..jobs.len()).map(|_| None).collect();
+        let mut results: Vec<Option<Result<R, SegbusError>>> =
+            (0..keys.len()).map(|_| None).collect();
         let mut miss_index: HashMap<u64, usize> = HashMap::new();
-        let mut misses: Vec<(u64, usize)> = Vec::new(); // (digest, first job idx)
+        let mut misses: Vec<usize> = Vec::new(); // first job index per distinct miss
         let mut pending: Vec<(usize, usize)> = Vec::new(); // (job idx, miss idx)
-        for (i, job) in jobs.iter().enumerate() {
-            let key = job.digest();
+        for (i, &key) in keys.iter().enumerate() {
             if let Some(&m) = miss_index.get(&key) {
                 // In-batch duplicate: shares the first occurrence's run.
                 // (A key can only be here if it missed both tiers, so this
                 // never shadows a cache hit.)
                 self.cache.hits += 1;
                 pending.push((i, m));
-            } else if let Some(report) = self.lookup(key) {
-                results[i] = Some(Ok(report));
+            } else if let Some(v) = self.lookup_with(key, &view) {
+                results[i] = Some(Ok(v));
             } else {
                 miss_index.insert(key, misses.len());
-                misses.push((key, i));
+                misses.push(i);
                 pending.push((i, misses.len() - 1));
             }
         }
 
-        // Phase 2: emulate the distinct misses on the pool. A job whose
-        // config differs from the pool default gets a one-off engine; the
-        // common case reuses the worker's warm scratch state.
-        let computed: Vec<Result<EmulationReport, SegbusError>> =
-            self.pool.sweep_with(&misses, |engine, &(_, idx)| {
-                let job = &jobs[idx];
-                if *engine.config() == job.config {
-                    engine.try_run_frames(&job.psm, job.frames)
-                } else {
-                    Engine::new(job.config).try_run_frames(&job.psm, job.frames)
-                }
+        // Phase 2: emulate the distinct misses on the pool.
+        let computed = self
+            .pool
+            .sweep_with_state(&misses, init, |engine, state, &i| {
+                run(engine, state, i).map(|report| (view(&report), report))
             });
 
-        // Phase 3: fill successes into the cache (writing through to the
-        // persistent tier) and assemble the output.
-        for ((key, _), result) in misses.iter().zip(&computed) {
-            if let Ok(report) = result {
-                self.insert(*key, report);
-            }
+        // Phase 3: move successes into the cache (writing through to the
+        // persistent tier) and hand each view to the jobs that share it;
+        // the last of them takes it, the others copy.
+        let mut shared: Vec<Option<Result<R, SegbusError>>> = Vec::with_capacity(misses.len());
+        for (&i, result) in misses.iter().zip(computed) {
+            shared.push(Some(result.map(|(v, report)| {
+                self.store(keys[i], report);
+                v
+            })));
+        }
+        let mut uses = vec![0usize; misses.len()];
+        for &(_, m) in &pending {
+            uses[m] += 1;
         }
         for (i, m) in pending {
-            results[i] = Some(computed[m].clone());
+            uses[m] -= 1;
+            results[i] = if uses[m] == 0 {
+                shared[m].take()
+            } else {
+                shared[m].clone()
+            };
         }
         results
             .into_iter()

@@ -33,9 +33,11 @@
 use segbus_model::diag::SegbusError;
 use segbus_model::ids::{FlowId, ProcessId, SegmentId};
 use segbus_model::mapping::Psm;
+use segbus_model::psdf::FlowValues;
 use segbus_model::time::{ClockDomain, Picos};
 
 use crate::config::{EmulatorConfig, ProducerRelease};
+use crate::precheck::compute_ticks;
 use crate::report::EmulationReport;
 use crate::trace::TraceLog;
 
@@ -240,7 +242,11 @@ impl FastClock {
 /// Everything about a PSM the engine needs, flattened into index-addressed
 /// tables. Building the plan is the only part of a run that touches the
 /// model crate's object graph; the event loop reads these arrays only.
-#[derive(Debug)]
+///
+/// A plan can be patched instead of recompiled: [`EnginePlan::try_remap`]
+/// moves a process (placement search), [`EnginePlan::try_set_flow_values`]
+/// replaces every flow's items and ticks (Monte-Carlo samples).
+#[derive(Clone, Debug)]
 pub struct EnginePlan<'a> {
     pub(crate) psm: &'a Psm,
     pub(crate) s: u32,
@@ -321,7 +327,7 @@ impl<'a> EnginePlan<'a> {
     ///
     /// # Panics
     /// Panics if the PSM violates an engine invariant (unplaced process,
-    /// missing border unit, zero-reference cost model). Use
+    /// missing border unit, compute ticks overflowing `u64`). Use
     /// [`EnginePlan::try_new`] for input that has not been through
     /// [`crate::precheck::strict_validate`].
     pub fn new(psm: &'a Psm) -> EnginePlan<'a> {
@@ -345,9 +351,12 @@ impl<'a> EnginePlan<'a> {
         let flow_src: Vec<ProcessId> = app.flows().iter().map(|f| f.src).collect();
         let flow_dst: Vec<ProcessId> = app.flows().iter().map(|f| f.dst).collect();
         let flow_pkgs: Vec<u64> = app.flows().iter().map(|f| f.packages(s)).collect();
-        let flow_compute: Vec<u64> = (0..nflow)
-            .map(|i| app.ticks_per_package(FlowId(i as u32), s))
-            .collect();
+        let flow_compute: Vec<u64> = app
+            .flows()
+            .iter()
+            .enumerate()
+            .map(|(i, f)| compute_ticks(app.cost_model(), i, f.ticks, s))
+            .collect::<Result<_, SegbusError>>()?;
         let proc_seg: Vec<SegmentId> = (0..nproc)
             .map(|i| {
                 let p = ProcessId(i as u32);
@@ -444,9 +453,56 @@ impl<'a> EnginePlan<'a> {
     /// *moved* placement while this model still carries the original
     /// allocation; callers tracking content digests across remaps must
     /// derive them from their own slot vector
-    /// ([`segbus_model::digest_with_slots`]), not from this PSM.
+    /// ([`segbus_model::digest_with_slots`]), not from this PSM. Likewise,
+    /// after [`EnginePlan::try_set_flow_values`] this model still carries
+    /// the original flow values; a sampled run's digest comes from
+    /// [`Psm::digest_with_flow_values`].
     pub fn psm(&self) -> &'a Psm {
         self.psm
+    }
+
+    /// Replace every flow's items and ticks with `values` (one entry per
+    /// flow, in flow order), rewriting the only value-dependent tables:
+    /// package counts and per-package compute ticks. Routes, waves,
+    /// clocks and the placement do not depend on flow values and are
+    /// untouched, so running the patched plan is bit-identical to
+    /// compiling a fresh [`EnginePlan`] for the model with those values.
+    ///
+    /// The `C008` bound of [`crate::precheck::strict_validate`] runs first,
+    /// over `values`, `frames` and `config`, and the compute ticks are
+    /// derived in checked arithmetic, so no value that would fail the
+    /// pre-flight can reach the plan. On an error the plan is unchanged.
+    pub fn try_set_flow_values(
+        &mut self,
+        values: &[FlowValues],
+        frames: u64,
+        config: &EmulatorConfig,
+    ) -> Result<(), SegbusError> {
+        if values.len() != self.flow_src.len() {
+            return Err(SegbusError::new(
+                "C003",
+                format!(
+                    "{} flow value(s) for a plan of {} flow(s)",
+                    values.len(),
+                    self.flow_src.len()
+                ),
+            ));
+        }
+        crate::precheck::check_flow_values(
+            self.psm,
+            self.waves.len(),
+            values.iter().copied(),
+            frames,
+            config,
+        )?;
+        // The check proved every compute tick fits, so no error can arise
+        // once the first table entry is written.
+        let cost_model = self.psm.application().cost_model();
+        for (i, v) in values.iter().enumerate() {
+            self.flow_pkgs[i] = v.items.div_ceil(self.s as u64);
+            self.flow_compute[i] = compute_ticks(cost_model, i, v.ticks, self.s)?;
+        }
+        Ok(())
     }
 
     /// The segment each process is currently mapped to (reflects remaps).

@@ -4,39 +4,56 @@
 //! `segbus_model::stochastic`) describes a *family* of concrete systems.
 //! [`run_monte_carlo`] draws `samples` deterministic members of that
 //! family ([`sample_psm`] with per-sample seeds derived via [`mix_seed`]),
-//! runs them through the existing [`CachedPool`] → [`SweepPool`] tier and
+//! runs them through the [`CachedPool`] → [`SweepPool`] tier and
 //! summarises the makespan distribution: mean, p50/p95/p99, min/max, a
 //! bootstrap 95% confidence interval on the mean, and the per-segment
 //! bus-utilisation spread.
 //!
+//! A draw changes only flow items and ticks, so model-level work is paid
+//! once per estimation: sample 0 is built, validated and compiled into an
+//! [`EnginePlan`]. Every sample is then drawn as flow values alone and
+//! keyed on the pool's workers; the calling thread only dedupes the keys
+//! and consults the cache; each distinct miss runs on a worker's own copy
+//! of the plan, patched with its values, and its report is moved into the
+//! cache once its makespan and utilisation have been read.
+//!
 //! Three properties fall out of the architecture rather than being
 //! re-implemented here:
 //!
-//! * **Thread-count invariance** — samples are emulated by
-//!   `CachedPool::run_batch`, whose [`SweepPool`] returns results in input
-//!   order bit-identically for any worker count, and every statistic is
-//!   computed from that ordered vector (the bootstrap uses its own seeded
-//!   stream). `segbus mc --samples N --seed S --threads T` is therefore
-//!   byte-identical for every `T`.
-//! * **Free duplicates** — each sample is a concrete [`Psm`] keyed by its
-//!   content digest, so repeated draws (a `constant` distribution, a
-//!   narrow `choice`, overlapping seeds, a warm `--cache-dir`) are cache
-//!   hits, not re-emulations.
+//! * **Thread-count invariance** — draws are pure functions of
+//!   `(model, seed, index)`, the cached pool's keyed batch runner returns
+//!   results in input order bit-identically for any worker count, and
+//!   every statistic is computed from that ordered vector (the bootstrap
+//!   uses its own seeded stream). `segbus mc --samples N --seed S
+//!   --threads T` is therefore byte-identical for every `T`.
+//! * **Free duplicates** — each sample is keyed by the content digest of
+//!   the concrete model it stands for (the same `job_digest` a
+//!   [`BatchJob`] of `sample_psm`'s output has), so repeated draws (a
+//!   `constant` distribution, a narrow `choice`, overlapping seeds, a warm
+//!   `--cache-dir`) are cache hits, not re-emulations.
 //! * **NaN-freedom** — inputs are integer picosecond makespans and the
 //!   clamped sampler never produces NaN, so every statistic is finite.
 //!
 //! [`SweepPool`]: crate::parallel::SweepPool
+//! [`BatchJob`]: crate::cache::BatchJob
 
 use std::collections::HashSet;
+use std::ops::Range;
 
 use segbus_model::diag::SegbusError;
 use segbus_model::mapping::Psm;
+use segbus_model::psdf::FlowValues;
 use segbus_model::rng::SmallRng;
-use segbus_model::stochastic::{mix_seed, sample_psm};
+use segbus_model::stochastic::{mix_seed, sample_flow_values, sample_psm};
 
-use crate::cache::{BatchJob, CachedPool};
+use crate::cache::{job_digest_from, CachedPool};
 use crate::config::EmulatorConfig;
+use crate::engine::{Engine, EnginePlan};
+use crate::precheck::strict_validate;
 use crate::report::EmulationReport;
+
+/// Samples one pool job draws and keys.
+const DRAW_CHUNK: usize = 16;
 
 /// Parameters of one Monte-Carlo estimation.
 #[derive(Clone, Copy, Debug)]
@@ -145,12 +162,12 @@ pub fn bootstrap_ci(xs: &[u64], resamples: u32, seed: u64) -> (f64, f64) {
         return (m, m);
     }
     let mut rng = SmallRng::seed_from_u64(seed);
+    let fs: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
+    let n = fs.len() as u64;
     let mut means: Vec<f64> = (0..resamples.max(1))
         .map(|_| {
-            let sum: f64 = (0..xs.len())
-                .map(|_| xs[rng.range_usize(0, xs.len() - 1)] as f64)
-                .sum();
-            sum / xs.len() as f64
+            let sum: f64 = (0..n).map(|_| fs[rng.below(n) as usize]).sum();
+            sum / n as f64
         })
         .collect();
     // Resampled means of finite integers are finite: total_cmp is exact.
@@ -203,6 +220,16 @@ fn utilisation_fractions(report: &EmulationReport) -> Vec<f64> {
 /// annotations) collapses to one distinct job answered `samples` times
 /// from the cache. The first failing sample aborts the estimation with
 /// its typed error.
+///
+/// Only sample 0 is built as a model: it goes through [`sample_psm`],
+/// [`strict_validate`] and [`EnginePlan::try_new`], so every structural
+/// error surfaces exactly as for a lone run, and its plan is the one the
+/// estimation patches. Every sample (0 included) is drawn as flow values
+/// only ([`sample_flow_values`]) and keyed by the digest those values give
+/// the base model, which equals `job_digest` of the sampled model. Each
+/// cache miss patches a worker's copy of the plan
+/// ([`EnginePlan::try_set_flow_values`], which applies the per-sample
+/// `C008` bound) and runs it.
 pub fn run_monte_carlo(
     pool: &mut CachedPool,
     psm: &Psm,
@@ -210,24 +237,58 @@ pub fn run_monte_carlo(
     opts: &McOptions,
 ) -> Result<McReport, SegbusError> {
     let samples = opts.samples.max(1);
-    let mut jobs = Vec::with_capacity(samples as usize);
-    for i in 0..samples {
-        let sampled = sample_psm(psm, mix_seed(opts.seed, i)).map_err(SegbusError::from)?;
-        jobs.push(BatchJob {
-            psm: sampled,
-            config,
-            frames: opts.frames,
-        });
-    }
-    let distinct = jobs.iter().map(BatchJob::digest).collect::<HashSet<_>>();
+    let frames = opts.frames;
+    let first = sample_psm(psm, mix_seed(opts.seed, 0)).map_err(SegbusError::from)?;
+    strict_validate(&first, frames, &config)?;
+    let plan = EnginePlan::try_new(&first)?;
 
-    let mut makespans = Vec::with_capacity(jobs.len());
+    // Draw and key every sample on the pool, a chunk of samples per job.
+    let app = psm.application();
+    let nflow = app.flows().len();
+    let head = psm.digest_head();
+    let chunks: Vec<Range<usize>> = (0..samples as usize)
+        .step_by(DRAW_CHUNK)
+        .map(|lo| lo..(lo + DRAW_CHUNK).min(samples as usize))
+        .collect();
+    let drawn = pool.pool().sweep_with(&chunks, |_, range| {
+        let mut keys = Vec::with_capacity(range.len());
+        let mut values = Vec::with_capacity(range.len() * nflow);
+        let mut draw = Vec::with_capacity(nflow);
+        for i in range.clone() {
+            sample_flow_values(app, mix_seed(opts.seed, i as u64), &mut draw);
+            let digest = psm.digest_with_flow_values(head, &draw);
+            keys.push(job_digest_from(digest, &config, frames));
+            values.extend_from_slice(&draw);
+        }
+        (keys, values)
+    });
+    let keys: Vec<u64> = drawn.iter().flat_map(|(k, _)| k).copied().collect();
+    let values: Vec<FlowValues> = drawn.into_iter().flat_map(|(_, v)| v).collect();
+    let distinct = keys.iter().collect::<HashSet<_>>().len();
+
+    let results = pool.run_keyed(
+        &keys,
+        || (plan.clone(), None),
+        |engine, (plan, own_engine), i| {
+            plan.try_set_flow_values(&values[i * nflow..(i + 1) * nflow], frames, &config)?;
+            // A config other than the pool's gets one engine per worker.
+            let engine = if *engine.config() == config {
+                engine
+            } else {
+                own_engine.get_or_insert_with(|| Engine::new(config))
+            };
+            Ok(engine.run_plan(plan, frames))
+        },
+        |report| (report.makespan.0, utilisation_fractions(report)),
+    );
+
+    let mut makespans = Vec::with_capacity(results.len());
     let segments = psm.platform().segment_count();
-    let mut util: Vec<Vec<f64>> = vec![Vec::with_capacity(jobs.len()); segments];
-    for result in pool.run_batch(&jobs) {
-        let report = result?;
-        makespans.push(report.makespan.0);
-        for (seg, f) in utilisation_fractions(&report).into_iter().enumerate() {
+    let mut util: Vec<Vec<f64>> = vec![Vec::with_capacity(results.len()); segments];
+    for result in results {
+        let (makespan, fractions) = result?;
+        makespans.push(makespan);
+        for (seg, f) in fractions.into_iter().enumerate() {
             util[seg].push(f);
         }
     }
@@ -254,7 +315,7 @@ pub fn run_monte_carlo(
 
     Ok(McReport {
         samples,
-        distinct: distinct.len() as u64,
+        distinct: distinct as u64,
         makespans,
         makespan,
         utilisation,

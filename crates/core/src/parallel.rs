@@ -2,12 +2,13 @@
 //!
 //! Parameter sweeps (package sizes, placements, frequencies) emulate many
 //! PSMs that share nothing; [`SweepPool`] fans the runs out over scoped
-//! worker threads. Workers claim chunks of the job list from a shared
-//! atomic cursor, each worker reuses one [`Engine`] (and therefore its
-//! scratch buffers) for every job it claims, and results land in
-//! per-index lock-free slots. Results come back in input order,
-//! bit-identical to a sequential map regardless of the thread count —
-//! each run is itself deterministic — which the tests below assert.
+//! worker threads, the calling thread among them. Workers claim chunks of
+//! the job list from a shared atomic cursor, each worker reuses one
+//! [`Engine`] (and therefore its scratch buffers) for every job it
+//! claims, and results land in per-index lock-free slots. Results come
+//! back in input order, bit-identical to a sequential map regardless of
+//! the thread count — each run is itself deterministic — which the tests
+//! below assert.
 
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -89,10 +90,26 @@ impl SweepPool {
         R: Send,
         F: Fn(&mut Engine, &T) -> R + Sync,
     {
+        self.sweep_with_state(jobs, || (), |engine, _, job| f(engine, job))
+    }
+
+    /// [`SweepPool::sweep_with`] with per-worker state: each worker calls
+    /// `init` once and hands the value to `f` for every job it claims
+    /// (a Monte-Carlo estimation keeps one patched plan per worker this way).
+    /// This is the pool's one worker loop; `sweep_with` is its stateless
+    /// instance. Results must not depend on which worker ran a job.
+    pub fn sweep_with_state<T, S, R, I, F>(&self, jobs: &[T], init: I, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut Engine, &mut S, &T) -> R + Sync,
+    {
         let threads = self.threads.min(jobs.len());
         if threads <= 1 {
             let mut engine = Engine::new(self.config);
-            return jobs.iter().map(|j| f(&mut engine, j)).collect();
+            let mut state = init();
+            return jobs.iter().map(|j| f(&mut engine, &mut state, j)).collect();
         }
         // Small chunks keep the tail balanced; claiming more than one job
         // at a time keeps cursor traffic negligible.
@@ -106,30 +123,35 @@ impl SweepPool {
         // through the rest of the batch first.
         let poisoned = AtomicBool::new(false);
 
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut engine = Engine::new(self.config);
-                    while !poisoned.load(Ordering::Relaxed) {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= jobs.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(jobs.len());
-                        for (i, job) in jobs.iter().enumerate().take(end).skip(start) {
-                            match catch_unwind(AssertUnwindSafe(|| f(&mut engine, job))) {
-                                // Safety: index `i` belongs to this
-                                // worker's chunk only (see ResultSlots).
-                                Ok(r) => unsafe { slots.set(i, r) },
-                                Err(payload) => {
-                                    poisoned.store(true, Ordering::Relaxed);
-                                    resume_unwind(payload);
-                                }
-                            }
+        // The calling thread is one of the workers, so a sweep spawns
+        // `threads - 1` threads.
+        let work = || {
+            let mut engine = Engine::new(self.config);
+            let mut state = init();
+            while !poisoned.load(Ordering::Relaxed) {
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= jobs.len() {
+                    break;
+                }
+                let end = (start + chunk).min(jobs.len());
+                for (i, job) in jobs.iter().enumerate().take(end).skip(start) {
+                    match catch_unwind(AssertUnwindSafe(|| f(&mut engine, &mut state, job))) {
+                        // SAFETY: index `i` belongs to this worker's chunk
+                        // only (see ResultSlots).
+                        Ok(r) => unsafe { slots.set(i, r) },
+                        Err(payload) => {
+                            poisoned.store(true, Ordering::Relaxed);
+                            resume_unwind(payload);
                         }
                     }
-                });
+                }
             }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(work);
+            }
+            work();
         });
 
         slots

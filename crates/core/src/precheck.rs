@@ -20,7 +20,8 @@
 //!   the front ends reject zero at parse/import time (`P003` / value
 //!   errors);
 //! * `C008` — the run must fit the engine's 64-bit picosecond timeline
-//!   and its scratch tables (a conservative horizon/resource bound).
+//!   and its scratch tables (a conservative horizon/resource bound), and
+//!   every per-package compute tick count must fit `u64`.
 //!
 //! A PSM built through [`segbus_model::Psm::new`] already satisfies most
 //! of these; the pass exists so that *any* path into the engine — including
@@ -31,7 +32,7 @@
 use segbus_model::diag::SegbusError;
 use segbus_model::ids::ProcessId;
 use segbus_model::mapping::Psm;
-use segbus_model::psdf::CostModel;
+use segbus_model::psdf::{CostModel, Flow, FlowValues};
 
 use crate::config::EmulatorConfig;
 
@@ -58,7 +59,6 @@ pub fn strict_validate(psm: &Psm, frames: u64, cfg: &EmulatorConfig) -> Result<(
     let app = psm.application();
     let platform = psm.platform();
     let nproc = app.process_count();
-    let nseg = platform.segment_count();
 
     // C001 — frames.
     if frames == 0 {
@@ -149,28 +149,43 @@ pub fn strict_validate(psm: &Psm, frames: u64, cfg: &EmulatorConfig) -> Result<(
         ));
     }
 
-    // C008 — horizon and resource bounds, in u128 so the check itself
-    // cannot overflow. The bound is conservative: it assumes every package
-    // is computed and then serialised over every segment of the platform
-    // with full protocol overhead, all end to end.
-    let waves = app.waves().len() as u128;
-    let total_pkgs: u128 = app
-        .flows()
-        .iter()
-        .map(|f| f.packages(s) as u128)
-        .sum::<u128>();
-    let instances = (frames as u128).saturating_mul(waves.max(1));
-    let pkg_instances = (frames as u128).saturating_mul(total_pkgs);
-    if instances > INSTANCE_MAX || pkg_instances > INSTANCE_MAX {
-        return Err(err(
-            "C008",
-            format!(
-                "run is too large: {frames} frame(s) x {waves} wave(s) / \
-                 {total_pkgs} package(s) exceed the {INSTANCE_MAX} instance budget"
-            ),
-        ));
-    }
+    // C008 — horizon and resource bounds over the model's own values.
+    check_flow_values(
+        psm,
+        app.waves().len(),
+        app.flows().iter().map(Flow::values),
+        frames,
+        cfg,
+    )
+}
 
+/// `C008` over explicit per-flow values: the run must fit the engine's
+/// 64-bit picosecond timeline and its scratch tables when the flows carry
+/// `values` (in flow order), with `psm` supplying everything else
+/// (platform, cost model) and `waves` its wave count.
+///
+/// [`strict_validate`] calls it with the model's own values; a
+/// Monte-Carlo estimation calls it through [`EnginePlan::try_set_flow_values`]
+/// with each sample's values, so a sampled run is bounded by exactly the
+/// check `strict_validate` would apply to the sampled model.
+///
+/// The bound is conservative and computed in `u128`, so the check itself
+/// cannot overflow: it assumes every package is computed and then
+/// serialised over every segment of the platform with full protocol
+/// overhead, all end to end.
+///
+/// [`EnginePlan::try_set_flow_values`]: crate::EnginePlan::try_set_flow_values
+pub(crate) fn check_flow_values(
+    psm: &Psm,
+    waves: usize,
+    values: impl Iterator<Item = FlowValues>,
+    frames: u64,
+    cfg: &EmulatorConfig,
+) -> Result<(), SegbusError> {
+    let platform = psm.platform();
+    let s = platform.package_size();
+    let cost_model = psm.application().cost_model();
+    let nseg = platform.segment_count();
     let t = &cfg.timing;
     let overhead_ticks: u128 = [
         t.request_ticks,
@@ -189,6 +204,39 @@ pub fn strict_validate(psm: &Psm, frames: u64, cfg: &EmulatorConfig) -> Result<(
     .map(|&v| v as u128)
     .sum::<u128>()
         + s as u128;
+    let transit = overhead_ticks.saturating_mul(nseg as u128 + 1);
+    let mut total_pkgs = 0u128;
+    let mut per_pkg_ticks = 0u128;
+    let mut ticks_fit = Ok(());
+    for (i, v) in values.enumerate() {
+        let pkgs = v.items.div_ceil(s as u64) as u128;
+        // The engine's `u64` ticks where they exist (the same value), the
+        // exact `u128` ones where the engine would overflow.
+        let compute = match compute_ticks(cost_model, i, v.ticks, s) {
+            Ok(ticks) => ticks as u128,
+            Err(e) => {
+                ticks_fit = ticks_fit.and(Err(e));
+                compute_ticks_u128(cost_model, v.ticks, s)
+            }
+        };
+        total_pkgs += pkgs;
+        per_pkg_ticks =
+            per_pkg_ticks.saturating_add(pkgs.saturating_mul(compute.saturating_add(transit)));
+    }
+
+    let waves = waves as u128;
+    let instances = (frames as u128).saturating_mul(waves.max(1));
+    let pkg_instances = (frames as u128).saturating_mul(total_pkgs);
+    if instances > INSTANCE_MAX || pkg_instances > INSTANCE_MAX {
+        return Err(err(
+            "C008",
+            format!(
+                "run is too large: {frames} frame(s) x {waves} wave(s) / \
+                 {total_pkgs} package(s) exceed the {INSTANCE_MAX} instance budget"
+            ),
+        ));
+    }
+
     let max_period = platform
         .segments()
         .iter()
@@ -196,15 +244,6 @@ pub fn strict_validate(psm: &Psm, frames: u64, cfg: &EmulatorConfig) -> Result<(
         .chain(std::iter::once(platform.ca_clock().period_ps()))
         .max()
         .unwrap_or(1) as u128;
-    let per_pkg_ticks: u128 = app
-        .flows()
-        .iter()
-        .map(|f| {
-            let compute = compute_ticks_u128(app.cost_model(), f.ticks, s);
-            let transit = overhead_ticks.saturating_mul(nseg as u128 + 1);
-            (f.packages(s) as u128).saturating_mul(compute.saturating_add(transit))
-        })
-        .fold(0u128, u128::saturating_add);
     let horizon_ps = (frames as u128)
         .saturating_mul(per_pkg_ticks)
         .saturating_mul(max_period);
@@ -218,7 +257,36 @@ pub fn strict_validate(psm: &Psm, frames: u64, cfg: &EmulatorConfig) -> Result<(
         ));
     }
 
-    Ok(())
+    // Last, so that every run the bounds above reject keeps their message:
+    // the engine derives compute ticks in `u64`, which a huge cost can
+    // overflow even under the horizon budget.
+    ticks_fit
+}
+
+/// Per-package compute ticks of flow `i` (annotated with `ticks`) at
+/// package size `s`, or `C008` when the cost model's `u64` arithmetic
+/// overflows. Plan compilation and patching derive their ticks through
+/// it, so neither can panic or wrap.
+pub(crate) fn compute_ticks(
+    cost_model: CostModel,
+    i: usize,
+    ticks: u64,
+    s: u32,
+) -> Result<u64, SegbusError> {
+    cost_model
+        .checked_ticks_per_package(ticks, s)
+        .ok_or_else(|| compute_overflow(i, ticks))
+}
+
+/// The `C008` of [`compute_ticks`], kept out of line: every caller runs
+/// on the hot path of a plan compile or patch and never expects it.
+#[cold]
+#[inline(never)]
+fn compute_overflow(i: usize, ticks: u64) -> SegbusError {
+    err(
+        "C008",
+        format!("flow #{i}: {ticks} tick(s) per package overflow the 64-bit compute time"),
+    )
 }
 
 /// [`CostModel::ticks_per_package`] re-derived in `u128`: the model crate

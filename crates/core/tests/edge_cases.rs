@@ -1,7 +1,7 @@
 //! Engine edge cases: degenerate costs, oversized packages, extreme
 //! clock ratios, wide fan-in — things a designer will eventually type in.
 
-use segbus_core::{Emulator, EmulatorConfig};
+use segbus_core::{Emulator, EmulatorConfig, EnginePlan};
 use segbus_model::ids::SegmentId;
 use segbus_model::mapping::{Allocation, Psm};
 use segbus_model::platform::Platform;
@@ -155,4 +155,47 @@ fn many_waves_chain() {
     let waves = segbus_core::wave_boundaries(&r);
     assert_eq!(waves.len(), 39);
     assert!(waves.windows(2).all(|w| w[0] < w[1]));
+}
+
+/// Plan compilation derives per-package compute ticks in checked
+/// arithmetic: a cost that overflows `u64` under the default per-item
+/// cost model is a typed `C008`, as `strict_validate` reports it, not a
+/// debug-build panic or a silently wrapped value.
+#[test]
+fn plan_compile_reports_compute_tick_overflow_as_c008() {
+    let psm = pair(72, u64::MAX / 2, 72, 2);
+    let e = EnginePlan::try_new(&psm).unwrap_err();
+    assert_eq!(e.code, "C008", "{e}");
+    assert!(
+        e.message.contains("overflow the 64-bit compute time"),
+        "{e}"
+    );
+    let pre = segbus_core::strict_validate(&psm, 1, &EmulatorConfig::default()).unwrap_err();
+    assert_eq!(pre.code, "C008", "{pre}");
+}
+
+/// A cost whose `u64` compute-tick product overflows although the run
+/// fits the horizon budget (a huge per-item reference keeps the quotient
+/// small): `strict_validate` rejects it with the same `C008` the plan
+/// compiler reports, so a model that passes the pre-flight always
+/// compiles.
+#[test]
+fn strict_validate_rejects_what_plan_compile_rejects() {
+    let mut app = Application::new("wide").with_cost_model(CostModel::per_item(u32::MAX).unwrap());
+    let a = app.add_process(Process::initial("A"));
+    let b = app.add_process(Process::final_("B"));
+    app.add_flow(Flow::new(a, b, 1 << 20, 1, 1 << 44)).unwrap();
+    let mut alloc = Allocation::new(1);
+    alloc.assign(a, SegmentId(0));
+    alloc.assign(b, SegmentId(0));
+    let platform = Platform::builder("p")
+        .package_size(1 << 20)
+        .uniform_segments(1, ClockDomain::from_mhz(100.0))
+        .build()
+        .unwrap();
+    let psm = Psm::new(platform, app, alloc).unwrap();
+    let compile = EnginePlan::try_new(&psm).unwrap_err();
+    let pre = segbus_core::strict_validate(&psm, 1, &EmulatorConfig::default()).unwrap_err();
+    assert_eq!((compile.code, pre.code), ("C008", "C008"));
+    assert_eq!(pre.message, compile.message);
 }

@@ -22,7 +22,7 @@
 //! new tagged sections.
 
 use crate::mapping::Psm;
-use crate::psdf::{CostModel, ProcessKind};
+use crate::psdf::{CostModel, Flow, FlowValues, ProcessKind};
 
 /// Incremental 64-bit FNV-1a hasher.
 ///
@@ -116,26 +116,16 @@ impl Psm {
     /// [`EmulationReport`]: https://docs.rs/segbus-core
     pub fn digest(&self) -> u64 {
         let mut h = self.digest_prefix();
-        h.write_u8(TAG_ALLOCATION);
-        let app = self.application();
-        h.write_u64(app.process_count() as u64);
-        for i in 0..app.process_count() {
-            h.write_u16(self.segment_of(crate::ids::ProcessId(i as u32)).0);
-        }
+        self.absorb_allocation(&mut h);
         h.finish()
     }
 
-    /// The allocation-independent prefix of [`Psm::digest`]: the hasher
-    /// state after the platform, cost-model, process and flow sections,
-    /// *before* the trailing allocation section.
-    ///
-    /// The allocation is deliberately the final section of the canonical
-    /// encoding so that placement search — which evaluates thousands of
-    /// allocations of one fixed platform + application — can hash the
-    /// invariant part once and finish each candidate with
-    /// [`digest_with_slots`] in O(processes) instead of re-encoding the
-    /// whole model per candidate.
-    pub fn digest_prefix(&self) -> Fnv64 {
+    /// The hasher state after the platform, cost-model and process
+    /// sections: everything [`Psm::digest`] covers except the flows and
+    /// the allocation. A stochastic sample shares it with its base model,
+    /// so a Monte-Carlo batch hashes it once and finishes each sample with
+    /// [`Psm::digest_with_flow_values`].
+    pub fn digest_head(&self) -> Fnv64 {
         let mut h = Fnv64::new();
         let platform = self.platform();
         let app = self.application();
@@ -180,18 +170,65 @@ impl Psm {
                 ProcessKind::Final => 2,
             });
         }
-
-        h.write_u8(TAG_FLOWS);
-        h.write_u64(app.flows().len() as u64);
-        for f in app.flows() {
-            h.write_u32(f.src.0);
-            h.write_u32(f.dst.0);
-            h.write_u64(f.items);
-            h.write_u32(f.order);
-            h.write_u64(f.ticks);
-        }
-
         h
+    }
+
+    /// The allocation-independent prefix of [`Psm::digest`]: the hasher
+    /// state after the platform, cost-model, process and flow sections,
+    /// *before* the trailing allocation section.
+    ///
+    /// The allocation is deliberately the final section of the canonical
+    /// encoding so that placement search — which evaluates thousands of
+    /// allocations of one fixed platform + application — can hash the
+    /// invariant part once and finish each candidate with
+    /// [`digest_with_slots`] in O(processes) instead of re-encoding the
+    /// whole model per candidate.
+    pub fn digest_prefix(&self) -> Fnv64 {
+        let mut h = self.digest_head();
+        let flows = self.application().flows();
+        absorb_flows(&mut h, flows, flows.iter().map(Flow::values));
+        h
+    }
+
+    /// The [`Psm::digest`] this model would have with flow `i`'s items and
+    /// ticks replaced by `values[i]`, finishing a [`Psm::digest_head`] of
+    /// it. For a stochastic model and `values` drawn by
+    /// [`crate::stochastic::sample_flow_values`] this equals
+    /// `sample_psm(..).digest()` byte for byte, without building the
+    /// sampled model.
+    ///
+    /// # Panics
+    /// Panics if `values` does not hold exactly one entry per flow.
+    pub fn digest_with_flow_values(&self, head: Fnv64, values: &[FlowValues]) -> u64 {
+        let flows = self.application().flows();
+        assert_eq!(values.len(), flows.len(), "one value pair per flow");
+        let mut h = head;
+        absorb_flows(&mut h, flows, values.iter().copied());
+        self.absorb_allocation(&mut h);
+        h.finish()
+    }
+
+    fn absorb_allocation(&self, h: &mut Fnv64) {
+        h.write_u8(TAG_ALLOCATION);
+        let n = self.application().process_count();
+        h.write_u64(n as u64);
+        for i in 0..n {
+            h.write_u16(self.segment_of(crate::ids::ProcessId(i as u32)).0);
+        }
+    }
+}
+
+/// The flow section: each flow's structure from `flows`, its items and
+/// ticks from `values`.
+fn absorb_flows(h: &mut Fnv64, flows: &[Flow], values: impl Iterator<Item = FlowValues>) {
+    h.write_u8(TAG_FLOWS);
+    h.write_u64(flows.len() as u64);
+    for (f, v) in flows.iter().zip(values) {
+        h.write_u32(f.src.0);
+        h.write_u32(f.dst.0);
+        h.write_u64(v.items);
+        h.write_u32(f.order);
+        h.write_u64(v.ticks);
     }
 }
 
@@ -304,6 +341,27 @@ mod tests {
         let moved = base.with_process_moved(ProcessId(1), SegmentId(0)).unwrap();
         assert_eq!(digest_with_slots(prefix, &[0, 0]), moved.digest());
         assert_ne!(digest_with_slots(prefix, &[0, 0]), base.digest());
+    }
+
+    #[test]
+    fn head_plus_own_flow_values_equals_full_digest() {
+        let base = psm(72, 36, 100.0);
+        let own: Vec<FlowValues> = base
+            .application()
+            .flows()
+            .iter()
+            .map(Flow::values)
+            .collect();
+        let head = base.digest_head();
+        assert_eq!(base.digest_with_flow_values(head, &own), base.digest());
+        let more = [FlowValues {
+            items: 73,
+            ticks: 10,
+        }];
+        assert_eq!(
+            base.digest_with_flow_values(head, &more),
+            psm(73, 36, 100.0).digest()
+        );
     }
 
     #[test]

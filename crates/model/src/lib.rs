@@ -72,7 +72,7 @@ pub use ids::{FlowId, ProcessId, SegmentId};
 pub use mapping::{Allocation, Psm};
 pub use matrix::CommMatrix;
 pub use platform::{BorderUnitRef, Platform, PlatformBuilder, Segment, Topology};
-pub use psdf::{Application, CostModel, Flow, Process, ProcessKind, Wave};
+pub use psdf::{Application, CostModel, Flow, FlowValues, Process, ProcessKind, Wave};
 pub use rng::SmallRng;
 pub use stochastic::{sample_psm, Dist, FlowNoise};
 pub use time::{ClockDomain, Picos};

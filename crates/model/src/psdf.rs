@@ -120,6 +120,26 @@ impl Flow {
         debug_assert!(package_size > 0);
         self.items.div_ceil(package_size as u64)
     }
+
+    /// The flow's sampleable values `(D, C)`.
+    #[inline]
+    pub fn values(&self) -> FlowValues {
+        FlowValues {
+            items: self.items,
+            ticks: self.ticks,
+        }
+    }
+}
+
+/// The two values of a flow a stochastic sample can change: the data
+/// volume `D` and the per-package cost `C`. Endpoints and ordering are
+/// structure and stay with the [`Flow`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FlowValues {
+    /// Number of data items (`D`).
+    pub items: u64,
+    /// Clock ticks per package (`C`), before the cost model is applied.
+    pub ticks: u64,
 }
 
 /// Interpretation of a flow's `C` value under repackaging.
@@ -203,6 +223,29 @@ impl CostModel {
                 let r = reference_package_size.get() as u64;
                 let variable = c.saturating_sub(base_ticks);
                 base_ticks + (variable * package_size as u64 + r / 2) / r
+            }
+        }
+    }
+
+    /// [`CostModel::ticks_per_package`] in checked arithmetic: `None`
+    /// exactly where the unchecked form overflows `u64` (a hostile `c`),
+    /// which would panic in debug builds and wrap in release.
+    #[inline]
+    pub fn checked_ticks_per_package(&self, c: u64, package_size: u32) -> Option<u64> {
+        let scale = |v: u64, r: NonZeroU32| {
+            let r = r.get() as u64;
+            Some(v.checked_mul(package_size as u64)?.checked_add(r / 2)? / r)
+        };
+        match *self {
+            CostModel::PerItem {
+                reference_package_size,
+            } => scale(c, reference_package_size),
+            CostModel::PerPackage => Some(c),
+            CostModel::Affine {
+                base_ticks,
+                reference_package_size,
+            } => {
+                base_ticks.checked_add(scale(c.saturating_sub(base_ticks), reference_package_size)?)
             }
         }
     }

@@ -53,12 +53,15 @@ impl SmallRng {
         if n.is_power_of_two() {
             return self.next_u64() & (n - 1);
         }
-        // Reject the final partial block so every residue is equally likely.
-        let zone = u64::MAX - (u64::MAX % n);
+        // Reject the final partial block so every residue is equally
+        // likely: `v` is kept when its whole block `[v - r, v - r + n)`
+        // fits in `u64`. Same stream as comparing against the zone
+        // `u64::MAX - u64::MAX % n`, with one division per draw, not two.
         loop {
             let v = self.next_u64();
-            if v < zone {
-                return v % n;
+            let r = v % n;
+            if (v - r).checked_add(n - 1).is_some() {
+                return r;
             }
         }
     }
@@ -115,6 +118,29 @@ mod tests {
         let v: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
         assert!(v.iter().any(|&x| x != 0));
         assert_ne!(v[0], v[1]);
+    }
+
+    /// The block test in `below` accepts exactly the draws below the
+    /// zone `u64::MAX - u64::MAX % n`, so the stream is unchanged.
+    #[test]
+    fn below_block_test_equals_zone_test() {
+        let mut r = SmallRng::seed_from_u64(11);
+        let edges = [3, 5, 6, 7, 400, (1 << 63) + 1, u64::MAX - 1, u64::MAX];
+        for i in 0..20_000u64 {
+            let n = match i % 3 {
+                0 => edges[(i / 3) as usize % edges.len()],
+                1 => r.next_u64() | 1,
+                _ => r.next_u64() >> (i % 64),
+            };
+            if n == 0 || n.is_power_of_two() {
+                continue;
+            }
+            let zone = u64::MAX - (u64::MAX % n);
+            for v in [r.next_u64(), zone - 1, zone, u64::MAX, u64::MAX - n, 0] {
+                let block = (v - v % n).checked_add(n - 1).is_some();
+                assert_eq!(block, v < zone, "v {v} n {n}");
+            }
+        }
     }
 
     #[test]

@@ -21,10 +21,13 @@
 //! [`sample_psm`] maps `(model, seed)` to one concrete [`Psm`] through a
 //! single [`SmallRng`] stream: flows are visited in [`FlowId`] order and
 //! each flow draws in the fixed order *items → ticks → jitter*, drawing
-//! **only** for the distributions that are present. The stream, the visit
-//! order and the draw order are part of the workspace determinism
-//! contract (pinned by golden tests); changing any of them silently
-//! re-samples every committed corpus file and every seeded experiment.
+//! **only** for the distributions that are present. [`sample_flow_values`]
+//! is the one place that order is written down; it draws the values
+//! alone, for callers that keep the model's structure (Monte-Carlo).
+//! The stream, the visit order and the draw order are part of the
+//! workspace determinism contract (pinned by golden tests); changing any
+//! of them silently re-samples every committed corpus file and every
+//! seeded experiment.
 //! Monte-Carlo sample `i` of master seed `s` uses [`mix_seed`]`(s, i)`.
 
 use std::fmt;
@@ -32,7 +35,7 @@ use std::fmt;
 use crate::error::ModelError;
 use crate::ids::FlowId;
 use crate::mapping::Psm;
-use crate::psdf::{Application, Flow};
+use crate::psdf::{Application, Flow, FlowValues};
 use crate::rng::SmallRng;
 
 /// A distribution over unsigned integer values (items, ticks, jitter).
@@ -252,35 +255,50 @@ pub fn mix_seed(master: u64, index: u64) -> u64 {
 }
 
 /// Sample the application's stochastic annotations into concrete flow
-/// values. Flows are visited in [`FlowId`] order; each annotated flow
-/// draws *items → ticks → jitter* from one stream seeded with `seed`.
+/// values, one [`FlowValues`] per flow in [`FlowId`] order, written into
+/// `out` (cleared first, so one buffer serves every sample of a batch).
+///
+/// This is the one definition of the draw order: each annotated flow draws
+/// *items → ticks → jitter* from one stream seeded with `seed`, drawing
+/// only for the distributions that are present; unannotated flows keep
+/// their base values. [`sample_application`] builds on it.
+///
+/// Drawing cannot fail: [`Application::set_flow_noise`], the only writer
+/// of the annotations, validated every distribution on the way in.
+pub fn sample_flow_values(app: &Application, seed: u64, out: &mut Vec<FlowValues>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    out.clear();
+    for (i, f) in app.flows().iter().enumerate() {
+        let mut v = f.values();
+        if let Some(noise) = app.flow_noise(FlowId(i as u32)) {
+            debug_assert!(noise.validate().is_ok(), "set_flow_noise validates");
+            if let Some(d) = &noise.items {
+                v.items = d.sample(&mut rng);
+            }
+            if let Some(d) = &noise.ticks {
+                v.ticks = d.sample(&mut rng);
+            }
+            if let Some(d) = &noise.jitter {
+                v.ticks = v.ticks.saturating_add(d.sample(&mut rng));
+            }
+        }
+        out.push(v);
+    }
+}
+
+/// Sample the application's stochastic annotations into a concrete
+/// application: [`sample_flow_values`] applied to a copy of the flows.
 /// The result carries no annotations (it is a plain deterministic model)
 /// and digests like any hand-written one.
 pub fn sample_application(app: &Application, seed: u64) -> Result<Application, ModelError> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut values = Vec::with_capacity(app.flows().len());
+    sample_flow_values(app, seed, &mut values);
     let mut out = Application::new(app.name()).with_cost_model(app.cost_model());
     for p in app.processes() {
         out.add_process(p.clone());
     }
-    for (i, f) in app.flows().iter().enumerate() {
-        let id = FlowId(i as u32);
-        let mut items = f.items;
-        let mut ticks = f.ticks;
-        if let Some(noise) = app.flow_noise(id) {
-            noise
-                .validate()
-                .map_err(|reason| ModelError::InvalidNoise { flow: id, reason })?;
-            if let Some(d) = &noise.items {
-                items = d.sample(&mut rng);
-            }
-            if let Some(d) = &noise.ticks {
-                ticks = d.sample(&mut rng);
-            }
-            if let Some(d) = &noise.jitter {
-                ticks = ticks.saturating_add(d.sample(&mut rng));
-            }
-        }
-        out.add_flow(Flow::new(f.src, f.dst, items, f.order, ticks))?;
+    for (f, v) in app.flows().iter().zip(values) {
+        out.add_flow(Flow::new(f.src, f.dst, v.items, f.order, v.ticks))?;
     }
     Ok(out)
 }
