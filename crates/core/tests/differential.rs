@@ -127,6 +127,55 @@ fn generated_graphs_match_the_reference() {
     assert_matches_reference(&psms, &[1, 2]);
 }
 
+/// The committed corpus scenarios as (`family/file.sbd`, parsed PSM),
+/// sorted by path.
+fn corpus() -> Vec<(String, Psm)> {
+    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus"));
+    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(root)
+        .expect("corpus/ directory")
+        .filter_map(|e| {
+            let p = e.ok()?.path();
+            p.is_dir().then_some(p)
+        })
+        .flat_map(|dir| {
+            std::fs::read_dir(dir)
+                .expect("corpus family dir")
+                .filter_map(|e| {
+                    let p = e.ok()?.path();
+                    (p.extension()? == "sbd").then_some(p)
+                })
+        })
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 15, "the corpus has fifteen scenarios");
+    files
+        .into_iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("readable scenario");
+            let psm = segbus_dsl::parse_system(&text).expect("committed scenario parses");
+            let rel = p.strip_prefix(root).expect("corpus path");
+            let parts: Vec<_> = rel.iter().map(|c| c.to_string_lossy()).collect();
+            (parts.join("/"), psm)
+        })
+        .collect()
+}
+
+/// Every corpus scenario at a small and a large package size: the
+/// families differ in how often a producer runs alone on its segment
+/// and in how much traffic crosses segments, which is where the
+/// untraced event loop and the reference's plain schedule could part.
+#[test]
+fn corpus_scenarios_match_the_reference() {
+    let mut psms = Vec::new();
+    for (name, psm) in corpus() {
+        for s in [9u32, 72] {
+            let sized = psm.with_package_size(s).expect("corpus package size");
+            psms.push((format!("{name} s{s}"), sized));
+        }
+    }
+    assert_matches_reference(&psms, &[1, 3]);
+}
+
 /// Deeper streaming runs exercise frame pipelining.
 #[test]
 fn streaming_runs_match_the_reference() {
