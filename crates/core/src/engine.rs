@@ -816,13 +816,10 @@ impl Engine {
     /// # Panics
     /// Panics if `frames` is zero.
     pub fn run_plan_into(&mut self, plan: &EnginePlan, frames: u64, out: &mut EmulationReport) {
-        if self.config.trace {
-            let mut log = TraceLog::new();
-            crate::fast::run_fast_traced(plan, &mut self.fast, &self.config, frames, &mut log, out);
-            out.trace = Some(log);
-        } else {
-            crate::fast::run_fast(plan, &mut self.fast, &self.config, frames, out);
-        }
+        let mut log = self.config.trace.then(TraceLog::new);
+        let sink = log.as_mut().map(|l| l as &mut dyn crate::trace::TraceSink);
+        crate::fast::run_fast(plan, &mut self.fast, &self.config, frames, sink, out);
+        out.trace = log;
     }
 
     /// Execute a pre-compiled plan, streaming every trace event into
@@ -841,12 +838,12 @@ impl Engine {
         sink: &mut dyn crate::trace::TraceSink,
     ) -> EmulationReport {
         let mut report = EmulationReport::empty();
-        crate::fast::run_fast_traced(
+        crate::fast::run_fast(
             plan,
             &mut self.fast,
             &self.config,
             frames,
-            sink,
+            Some(sink),
             &mut report,
         );
         report

@@ -11,9 +11,9 @@
 //! the plain schedule performs redundantly:
 //!
 //! * **Monomorphisation** — the run loop is generic over
-//!   `<A: Arbitration, R: Release, const TRACED: bool>` and instantiated
-//!   once per `(ArbitrationPolicy, ProducerRelease)` pair by [`run_fast`]'s
-//!   (untraced) and [`run_fast_traced`]'s dispatch `match`es, so policy
+//!   `<A: Arbitration, R: Release, const TRACED: bool>`. `run_fast` picks
+//!   `TRACED` once (is there a sink?) and one `match` over the
+//!   `(ArbitrationPolicy, ProducerRelease)` pair picks the rest, so policy
 //!   checks become compile-time constants and the arbiter's pick loop
 //!   inlines into the dispatch handler.
 //! * **Monomorphised tracing** — every trace hook sits behind
@@ -28,9 +28,9 @@
 //!   packages can be in flight: one compute per producer (`cur_pkg`), a
 //!   queue position per local request (`sa_pkg`), a FIFO of in-flight
 //!   serves per segment (`intra_pkg`) and one entry per inter-segment
-//!   transfer (`tr_pkg`). Burst stepping is disabled under `TRACED` (it
-//!   elides the serve/deliver events wholesale); every other elision
-//!   drops only events whose handlers emit nothing.
+//!   transfer (`tr_pkg`). Traced and untraced runs execute one event
+//!   schedule — every elision below applies to both — and differ only in
+//!   what they emit.
 //! * **Flat SoA scratch** — producer state (`pending`/`rr`/`busy`) and
 //!   process bookkeeping (`remaining out`/`in`) are parallel arrays
 //!   indexed by the [`EnginePlan`]'s dense ids instead of arrays of
@@ -86,16 +86,6 @@
 //!   Dropping an event whose handler performs no state change preserves
 //!   the relative order — and therefore the tie-breaks — of every
 //!   remaining event.
-//! * **Solo-producer burst stepping** — when a local compute completes
-//!   with the event queue, the CA queue and the segment's request queue
-//!   all empty, the bus free and the segment unreserved, the producer is
-//!   provably alone on its segment: nothing can interleave with its
-//!   compute → serve → deliver cycle until the round-robin pick turns
-//!   inter-segment, the frame instance completes (which may cascade into
-//!   arming other producers), or the producer idles. The fast core steps
-//!   those cycles in a tight loop with no event traffic at all; every
-//!   implied timestamp is a whole-tick sum on one segment clock and
-//!   hence a fixed point of `next_edge` (debug-asserted per iteration).
 //! * **Synchronous serve completion** — an `IntraDone` scheduled at the
 //!   serve's end would pop next whenever every queued event lies
 //!   strictly after it: it is the unique minimum, and no event can later
@@ -108,15 +98,6 @@
 //!   picked from the producer's pending list, so the fast core carries
 //!   the frame itself (29 bits of the packed event) and the per-package
 //!   division disappears.
-//! * **Batch frame stepping** — multi-frame runs arm frame 0 exactly like
-//!   the plain schedule (the first package picks must see frame 0's
-//!   pending entries only), then collapse the arming passes of frames 1..
-//!   into plain pending appends. This is provably order-identical: all
-//!   frames arm at `t = 0` before any event pops, and after frame 0's
-//!   kick every wave-0 producer is busy, so the later kick scans are
-//!   no-ops (the batch falls back to per-frame arming in the degenerate
-//!   empty-first-wave case, where completing the instance cascades into
-//!   later waves).
 //!
 //! **Bit-identity contract.** For every PSM, frame count and
 //! configuration, the fast core produces an [`EmulationReport`] equal to
@@ -124,7 +105,7 @@
 //! same events. Every surviving event is scheduled in the same program
 //! order (so tie-breaks coincide), every elided event is one whose
 //! handler could not have changed state, and every timestamp is computed
-//! by the same strength-reduced arithmetic ([`crate::engine::FastClock`]).
+//! by the same strength-reduced arithmetic (`engine::FastClock`).
 //! The tests below, `tests/trace_differential.rs` and the fuzz harness in
 //! `tests/fuzz_differential.rs` enforce the contract across all
 //! arbitration × release modes; committed golden digests pin the trace
@@ -374,7 +355,7 @@ impl FastScratch {
             self.tr_pkg.clear();
         }
 
-        // Batched frame bookkeeping: the per-wave delivery counts are
+        // Per-instance bookkeeping: the per-wave delivery counts are
         // identical in every frame, so compute them once and repeat.
         self.instance_remaining.clear();
         for flows in &plan.waves {
@@ -450,9 +431,12 @@ impl FastScratch {
 // ---------------------------------------------------------------------------
 // entry point
 
-/// Execute `plan` on the fast core. Dispatches once over the
-/// arbitration × release matrix to the matching monomorphised loop; the
-/// report is bit-identical to [`crate::ReferenceEmulator`]'s.
+/// Execute `plan` on the fast core, streaming every trace event into
+/// `sink` when there is one. Picks the traced or untraced instantiations
+/// once and dispatches over the arbitration × release matrix to the
+/// matching monomorphised loop; the report is bit-identical to
+/// [`crate::ReferenceEmulator`]'s whether or not a sink is given.
+/// `out.trace` stays `None` — the events went to the sink.
 ///
 /// # Panics
 /// Panics if `frames` is zero.
@@ -461,6 +445,7 @@ pub(crate) fn run_fast(
     sc: &mut FastScratch,
     cfg: &EmulatorConfig,
     frames: u64,
+    sink: Option<&mut dyn TraceSink>,
     out: &mut EmulationReport,
 ) {
     assert!(frames > 0, "at least one frame");
@@ -468,71 +453,40 @@ pub(crate) fn run_fast(
         frames <= MAX_FRAMES,
         "frame count exceeds the packed-event range"
     );
-    use ArbitrationPolicy as A;
-    use ProducerRelease as R;
-    match (cfg.arbitration, cfg.producer_release) {
-        (A::Fifo, R::AfterDelivery) => {
-            run_mono::<FifoArb, RelDelivery, false>(plan, sc, cfg, frames, None, out)
-        }
-        (A::Fifo, R::AfterLocalPhase) => {
-            run_mono::<FifoArb, RelLocal, false>(plan, sc, cfg, frames, None, out)
-        }
-        (A::FixedPriority, R::AfterDelivery) => {
-            run_mono::<PriorityArb, RelDelivery, false>(plan, sc, cfg, frames, None, out)
-        }
-        (A::FixedPriority, R::AfterLocalPhase) => {
-            run_mono::<PriorityArb, RelLocal, false>(plan, sc, cfg, frames, None, out)
-        }
-        (A::FairRoundRobin, R::AfterDelivery) => {
-            run_mono::<FairArb, RelDelivery, false>(plan, sc, cfg, frames, None, out)
-        }
-        (A::FairRoundRobin, R::AfterLocalPhase) => {
-            run_mono::<FairArb, RelLocal, false>(plan, sc, cfg, frames, None, out)
-        }
+    match sink {
+        Some(sink) => run_policy::<true>(plan, sc, cfg, frames, Some(sink), out),
+        None => run_policy::<false>(plan, sc, cfg, frames, None, out),
     }
 }
 
-/// [`run_fast`] with trace emission: the traced instantiations stream
-/// every trace event into `sink` as the run executes. The report is
-/// bit-identical to [`run_fast`]'s; `report.trace` stays `None` — the events went to the
-/// sink, which may be an in-memory [`crate::TraceLog`] or a streaming
-/// [`crate::sbt::SbtWriter`].
-///
-/// # Panics
-/// Panics if `frames` is zero.
-pub(crate) fn run_fast_traced(
-    plan: &EnginePlan,
-    sc: &mut FastScratch,
+fn run_policy<'r, const TRACED: bool>(
+    plan: &'r EnginePlan,
+    sc: &'r mut FastScratch,
     cfg: &EmulatorConfig,
     frames: u64,
-    sink: &mut dyn TraceSink,
+    sink: Option<&'r mut dyn TraceSink>,
     out: &mut EmulationReport,
 ) {
-    assert!(frames > 0, "at least one frame");
-    assert!(
-        frames <= MAX_FRAMES,
-        "frame count exceeds the packed-event range"
-    );
     use ArbitrationPolicy as A;
     use ProducerRelease as R;
     match (cfg.arbitration, cfg.producer_release) {
         (A::Fifo, R::AfterDelivery) => {
-            run_mono::<FifoArb, RelDelivery, true>(plan, sc, cfg, frames, Some(sink), out)
+            run_mono::<FifoArb, RelDelivery, TRACED>(plan, sc, cfg, frames, sink, out)
         }
         (A::Fifo, R::AfterLocalPhase) => {
-            run_mono::<FifoArb, RelLocal, true>(plan, sc, cfg, frames, Some(sink), out)
+            run_mono::<FifoArb, RelLocal, TRACED>(plan, sc, cfg, frames, sink, out)
         }
         (A::FixedPriority, R::AfterDelivery) => {
-            run_mono::<PriorityArb, RelDelivery, true>(plan, sc, cfg, frames, Some(sink), out)
+            run_mono::<PriorityArb, RelDelivery, TRACED>(plan, sc, cfg, frames, sink, out)
         }
         (A::FixedPriority, R::AfterLocalPhase) => {
-            run_mono::<PriorityArb, RelLocal, true>(plan, sc, cfg, frames, Some(sink), out)
+            run_mono::<PriorityArb, RelLocal, TRACED>(plan, sc, cfg, frames, sink, out)
         }
         (A::FairRoundRobin, R::AfterDelivery) => {
-            run_mono::<FairArb, RelDelivery, true>(plan, sc, cfg, frames, Some(sink), out)
+            run_mono::<FairArb, RelDelivery, TRACED>(plan, sc, cfg, frames, sink, out)
         }
         (A::FairRoundRobin, R::AfterLocalPhase) => {
-            run_mono::<FairArb, RelLocal, true>(plan, sc, cfg, frames, Some(sink), out)
+            run_mono::<FairArb, RelLocal, TRACED>(plan, sc, cfg, frames, sink, out)
         }
     }
 }
@@ -641,48 +595,14 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
 
     // -- wave / producer control ------------------------------------------
 
-    /// Arm wave 0 of every frame at `t = 0`, batching frames 1.. (see the
-    /// module docs for the order-identity argument).
-    fn arm_frames(&mut self) {
-        let plan = self.plan;
-        if plan.waves[0].is_empty() {
-            // An empty first wave completes immediately and cascades into
-            // later waves per frame; keep the plain schedule's order.
-            for frame in 0..self.frames {
-                self.start_instance(frame as usize * plan.waves.len(), Picos::ZERO);
-            }
-            return;
-        }
-        // Frame 0 arms and kicks exactly like the plain schedule — the first
-        // package picks (and their round-robin cursor updates) must see
-        // frame 0's pending entries only.
-        self.start_instance(0, Picos::ZERO);
-        // Every wave-0 producer is now busy, so the later frames' kick
-        // scans for frames 1.. are no-ops; batch the remaining arming
-        // passes into plain pending appends. No event has popped yet, so
-        // the appends land before any further pick, as they do there.
-        for frame in 1..self.frames {
-            for f in &plan.waves[0] {
-                let src = plan.flow_src[f.index()];
-                self.sc.prod_pending[src.index()].push((
-                    *f,
-                    plan.flow_pkgs[f.index()],
-                    frame as u32,
-                ));
-            }
-        }
-    }
-
     /// Arm the producers of wave instance `g` at global time `t`.
     fn start_instance(&mut self, g: usize, t: Picos) {
         let plan = self.plan;
         let w = g % plan.waves.len();
         let frame = (g / plan.waves.len()) as u32;
         let flows = &plan.waves[w];
-        if flows.is_empty() {
-            self.complete_instance(g, t);
-            return;
-        }
+        // `Application::waves` builds one wave per order that is present.
+        debug_assert!(!flows.is_empty(), "empty wave");
         for f in flows {
             let src = plan.flow_src[f.index()];
             self.sc.prod_pending[src.index()].push((*f, plan.flow_pkgs[f.index()], frame));
@@ -795,18 +715,6 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
         self.touch_sa(si, now);
         let path = plan.flow_path[flow.index()];
         if path == NO_PATH {
-            // Burst stepping elides the serve/deliver events wholesale,
-            // so the traced instantiations never take it.
-            if !TRACED
-                && self.sc.queue.is_empty()
-                && self.sc.ca_queue.is_empty()
-                && self.sc.sa_queue[si].is_empty()
-                && !self.sc.reserved[si]
-                && self.sc.bus_free[si] <= now
-                && self.try_burst(now, flow, frame, si)
-            {
-                return;
-            }
             self.sc.sas[si].intra_requests += 1;
             self.sc.sa_queue[si].push_back(LocalReq { flow, frame });
             if TRACED {
@@ -833,113 +741,6 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
             let at = plan.fast_ca.next_edge(now) + Picos(self.sc.ca_req_ps);
             self.schedule(at, ev::pack(ev::CA_ARRIVE, req, 0));
         }
-    }
-
-    /// Burst stepping — the batch-stepping leg of the tentpole. When a
-    /// `ComputeDone` pops with nothing else in flight (empty event
-    /// queue, empty CA queue, idle unreserved local bus), the producer
-    /// is provably alone: no other event exists to interleave, and none
-    /// of the implied handlers can create one as long as every package
-    /// is local and no delivery completes its wave instance. Under
-    /// those conditions the compute → serve → deliver cycle is fully
-    /// determined — every implied timestamp is a multiple of the
-    /// segment period, so the plain schedule's per-cycle `next_edge` calls
-    /// are all fixed points — and the burst steps packages in a tight
-    /// loop with no event traffic at all: identical counter deltas,
-    /// identical timestamps, identical round-robin picks. The real
-    /// event stream resumes when the producer idles (the run may drain
-    /// here, so the makespan is advanced to each implied pop), when the
-    /// next picked package is inter-segment (its `ComputeDone` is
-    /// scheduled as a real event), or when the next delivery would
-    /// complete a wave instance — arming cascades can wake other
-    /// producers, so that package is handed back to the generic
-    /// handler. Returns `false`, with no state touched, if not even the
-    /// first cycle can be proven deterministic.
-    fn try_burst(&mut self, now: Picos, flow: FlowId, frame: u32, si: usize) -> bool {
-        let plan = self.plan;
-        let src = plan.flow_src[flow.index()];
-        let pi = src.index();
-        // An empty event queue means no dispatch is outstanding, so the
-        // dedup markers must be clear (their events have all popped).
-        debug_assert_eq!(self.sc.retry_at[si], u64::MAX);
-        debug_assert_eq!(self.sc.ca_disp_at, u64::MAX);
-        debug_assert!(self.sc.prod_busy[pi]);
-
-        let mut flow = flow;
-        let mut frame = frame;
-        // Time of the current package's (implied) `ComputeDone` pop.
-        let mut t_cd = now;
-        let mut stepped = false;
-        loop {
-            let g = frame as usize * plan.waves.len() + plan.flow_wave[flow.index()];
-            debug_assert!(self.sc.instance_remaining[g] >= 1);
-            if self.sc.instance_remaining[g] == 1 {
-                // This delivery completes the wave instance; hand the
-                // package back to the generic handler (whose own burst
-                // check lands right back here and stops the recursion).
-                if !stepped {
-                    return false;
-                }
-                self.sc.makespan = t_cd;
-                self.on_compute_done(t_cd, flow, frame);
-                return true;
-            }
-            stepped = true;
-            // Serve: the request arrives on a clock edge of an idle,
-            // unreserved bus, so it is granted and served immediately.
-            debug_assert_eq!(plan.fast_seg[si].next_edge(t_cd), t_cd);
-            let e = Picos(t_cd.0 + self.sc.seg_bus_ps[si]);
-            let sa = &mut self.sc.sas[si];
-            sa.intra_requests += 1;
-            sa.busy_ticks += self.bus_ticks;
-            self.sc.served[pi] += 1;
-            // Deliver at the serve end.
-            let dst = plan.flow_dst[flow.index()];
-            let fu = &mut self.sc.fus[dst.index()];
-            fu.packages_received += 1;
-            fu.last_received = Some(e);
-            self.sc.remaining_inp[dst.index()] -= 1;
-            self.maybe_raise_flag(e, dst);
-            self.sc.instance_remaining[g] -= 1;
-            // Release the producer.
-            let fu = &mut self.sc.fus[pi];
-            debug_assert!(fu.start.is_some(), "producer started this package");
-            fu.packages_sent += 1;
-            fu.end = Some(e);
-            self.sc.remaining_out[pi] -= 1;
-            self.maybe_raise_flag(e, src);
-            // Pick the next package with the reference's round-robin.
-            match self.pick_package(pi) {
-                None => {
-                    self.sc.prod_busy[pi] = false;
-                    self.finish_burst(si, e);
-                    return true;
-                }
-                Some((f2, fr2)) => {
-                    let t2 = Picos(e.0 + self.sc.flow_compute_ps[f2.index()]);
-                    if plan.flow_path[f2.index()] != NO_PATH {
-                        // Inter-segment package: back to real events.
-                        self.finish_burst(si, e);
-                        self.schedule(t2, ev::pack(ev::COMPUTE_DONE, f2.0, fr2));
-                        return true;
-                    }
-                    flow = f2;
-                    frame = fr2;
-                    t_cd = t2;
-                }
-            }
-        }
-    }
-
-    /// Settle the deferred per-serve stores of a burst: `bus_free`, the
-    /// SA activity clock and the makespan all advance to the last
-    /// implied serve end (each is monotone and nothing read them while
-    /// the burst ran).
-    #[inline(always)]
-    fn finish_burst(&mut self, si: usize, e: Picos) {
-        self.sc.bus_free[si] = e;
-        self.touch_sa(si, e);
-        self.sc.makespan = e;
     }
 
     fn on_sa_dispatch(&mut self, now: Picos, seg: SegmentId) {
@@ -1247,7 +1048,10 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
     fn execute_into(mut self, out: &mut EmulationReport) {
         let plan = self.plan;
         if !plan.waves.is_empty() {
-            self.arm_frames();
+            // Arm wave 0 of every frame at `t = 0`, in frame order.
+            for frame in 0..self.frames {
+                self.start_instance(frame as usize * plan.waves.len(), Picos::ZERO);
+            }
         }
         while let Some(e) = self.pop() {
             let at = Picos(e.at);
@@ -1567,9 +1371,9 @@ mod tests {
         assert_eq!(t.log.events(), in_memory.trace.as_ref().unwrap().events());
     }
 
-    /// Deep frame pipelining through the batched arming path.
+    /// Deep frame pipelining: every frame arms at `t = 0`.
     #[test]
-    fn batched_frame_arming_matches_reference() {
+    fn deep_frame_pipelining_matches_reference() {
         let psm = segbus_apps::mp3::three_segment_psm();
         for frames in [1, 2, 7, 16] {
             assert_identical(&psm, frames, EmulatorConfig::default(), "frames");
