@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use segbus_core::{job_digest, job_digest_from, CacheStats, CachedPool, Engine, SweepPool};
-use segbus_model::digest::Fnv64;
+use segbus_model::digest::{digest_with_slots, Fnv64};
 use segbus_model::mapping::{Allocation, Psm};
 
 use crate::delta::{EvalBase, HopState, PatchOutcome, PatchState};
@@ -52,23 +52,16 @@ const CACHE_CAPACITY: usize = 8192;
 
 /// Canonical digest of a complete allocation: the `TAG_ALLOCATION`
 /// section of the name-insensitive `Psm::digest` encoding (section tag,
-/// process count, then each process's segment index), hashed with the
-/// same [`Fnv64`]. `slots` is the dense segment-index vector in
-/// `ProcessId` order. Two allocations collide only if they place every
-/// process identically (up to FNV collision), independent of names.
+/// process count, then each process's segment index), hashed with a
+/// fresh [`Fnv64`] by [`digest_with_slots`]. `slots` is the dense
+/// segment-index vector in `ProcessId` order. Two allocations collide
+/// only if they place every process identically (up to FNV collision),
+/// independent of names.
 pub fn allocation_digest(slots: &[u16]) -> u64 {
-    // Keep in sync with TAG_ALLOCATION in segbus_model::digest.
-    const TAG_ALLOCATION: u8 = 0x05;
-    let mut h = Fnv64::new();
-    h.write_u8(TAG_ALLOCATION);
-    h.write_u64(slots.len() as u64);
-    for &s in slots {
-        h.write_u16(s);
-    }
-    h.finish()
+    digest_with_slots(Fnv64::new(), slots)
 }
 
-/// Counters of one [`ParallelSearch`] (cumulative across runs).
+/// Counters of one `ParallelSearch` (cumulative across runs).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchStats {
     /// Makespan evaluations requested by the solvers.
