@@ -11,13 +11,15 @@
 pub struct RtlConfig {
     /// Synchroniser depth for any signal crossing two clock domains.
     pub sync_ticks: u64,
-    /// SA latency to set a grant line.
+    /// SA latency to set a grant line (at least 1).
     pub sa_grant_ticks: u64,
-    /// Master latency to respond to its grant before driving the bus.
+    /// Master latency to respond to its grant before driving the bus (at
+    /// least 1).
     pub master_response_ticks: u64,
-    /// SA latency to detect that a transfer finished.
+    /// SA latency to detect that a transfer finished (at least 1).
     pub detect_ticks: u64,
-    /// SA latency to reset the grant line and re-arm arbitration.
+    /// SA latency to reset the grant line and re-arm arbitration (at
+    /// least 1).
     pub grant_reset_ticks: u64,
     /// Header/address beats preceding the payload.
     pub header_beats: u64,

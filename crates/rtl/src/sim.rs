@@ -38,6 +38,12 @@ pub enum RtlError {
         /// Human-readable summary of the stuck state.
         detail: String,
     },
+    /// A latency that a protocol state must spend at least one tick in
+    /// is configured as zero.
+    InvalidConfig {
+        /// The offending [`RtlConfig`] field.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for RtlError {
@@ -45,6 +51,12 @@ impl std::fmt::Display for RtlError {
         match self {
             RtlError::Deadlock { at, detail } => {
                 write!(f, "reference simulation deadlocked at {at}: {detail}")
+            }
+            RtlError::InvalidConfig { field } => {
+                write!(
+                    f,
+                    "invalid reference-simulator configuration: {field} must be at least 1"
+                )
             }
         }
     }
@@ -77,10 +89,26 @@ impl RtlSimulator {
     /// Simulate `frames` pipelined iterations of the application (the
     /// streaming counterpart of [`segbus_core::Emulator::run_frames`]).
     ///
+    /// Returns [`RtlError::InvalidConfig`] if `sa_grant_ticks`,
+    /// `master_response_ticks`, `detect_ticks` or `grant_reset_ticks` is
+    /// zero: each is the length of an SA protocol state, which lasts at
+    /// least one tick.
+    ///
     /// # Panics
     /// Panics if `frames` is zero.
     pub fn run_frames(&self, psm: &Psm, frames: u64) -> Result<EmulationReport, RtlError> {
         assert!(frames > 0, "at least one frame");
+        let cfg = &self.config;
+        for (field, ticks) in [
+            ("sa_grant_ticks", cfg.sa_grant_ticks),
+            ("master_response_ticks", cfg.master_response_ticks),
+            ("detect_ticks", cfg.detect_ticks),
+            ("grant_reset_ticks", cfg.grant_reset_ticks),
+        ] {
+            if ticks == 0 {
+                return Err(RtlError::InvalidConfig { field });
+            }
+        }
         let mut world = World::new(psm, self.config, frames);
         world.run()?;
         Ok(world.into_report())
@@ -480,7 +508,7 @@ fn step_sa(ctx: &Ctx<'_>, shared: &mut Shared, d: &mut DomainState, now: Picos) 
             sa_busy(d, now);
             if left <= 1 {
                 let resp = match d.driver {
-                    Some(Driver::Fu { .. }) => ctx.cfg.master_response_ticks.max(1),
+                    Some(Driver::Fu { .. }) => ctx.cfg.master_response_ticks,
                     Some(Driver::Bu { .. }) => 1,
                     None => unreachable!("grant without driver"),
                 };
@@ -504,7 +532,7 @@ fn step_sa(ctx: &Ctx<'_>, shared: &mut Shared, d: &mut DomainState, now: Picos) 
             sa_busy(d, now);
             if beats_left <= 1 {
                 d.sa_state = SaState::Detect {
-                    left: ctx.cfg.detect_ticks.max(1),
+                    left: ctx.cfg.detect_ticks,
                 };
             } else {
                 d.sa_state = SaState::Transfer {
@@ -517,7 +545,7 @@ fn step_sa(ctx: &Ctx<'_>, shared: &mut Shared, d: &mut DomainState, now: Picos) 
             if left <= 1 {
                 complete_transaction(ctx, shared, d, now);
                 d.sa_state = SaState::GrantReset {
-                    left: ctx.cfg.grant_reset_ticks.max(1),
+                    left: ctx.cfg.grant_reset_ticks,
                 };
             } else {
                 d.sa_state = SaState::Detect { left: left - 1 };
@@ -604,7 +632,7 @@ fn sa_pick(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: Picos) {
         }
         d.driver = Some(driver);
         d.sa_state = SaState::GrantSet {
-            left: ctx.cfg.sa_grant_ticks.max(1),
+            left: ctx.cfg.sa_grant_ticks,
         };
         sa_busy(d, now);
         return;
@@ -635,7 +663,7 @@ fn sa_pick(ctx: &Ctx<'_>, shared: &Shared, d: &mut DomainState, now: Picos) {
                 inter: None,
             });
             d.sa_state = SaState::GrantSet {
-                left: ctx.cfg.sa_grant_ticks.max(1),
+                left: ctx.cfg.sa_grant_ticks,
             };
             sa_busy(d, now);
             return;
@@ -1248,6 +1276,45 @@ mod tests {
         let err = RtlSimulator::new(cfg).run(&local_pair()).unwrap_err();
         assert!(matches!(err, RtlError::Deadlock { .. }));
         assert!(err.to_string().contains("deadlocked"));
+    }
+
+    #[test]
+    fn zero_state_latencies_are_rejected() {
+        let d = RtlConfig::default();
+        for (field, cfg) in [
+            (
+                "sa_grant_ticks",
+                RtlConfig {
+                    sa_grant_ticks: 0,
+                    ..d
+                },
+            ),
+            (
+                "master_response_ticks",
+                RtlConfig {
+                    master_response_ticks: 0,
+                    ..d
+                },
+            ),
+            (
+                "detect_ticks",
+                RtlConfig {
+                    detect_ticks: 0,
+                    ..d
+                },
+            ),
+            (
+                "grant_reset_ticks",
+                RtlConfig {
+                    grant_reset_ticks: 0,
+                    ..d
+                },
+            ),
+        ] {
+            let err = RtlSimulator::new(cfg).run(&local_pair()).unwrap_err();
+            assert_eq!(err, RtlError::InvalidConfig { field });
+            assert!(err.to_string().contains(field));
+        }
     }
 
     #[test]
