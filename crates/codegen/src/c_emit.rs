@@ -1,4 +1,4 @@
-//! C backend: render a [`SystemSchedule`](crate::SystemSchedule) as a
+//! C backend: render a [`SystemSchedule`] as a
 //! self-contained header for arbiter firmware.
 //!
 //! Many SegBus-class platforms drive their arbiters from a small

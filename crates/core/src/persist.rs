@@ -12,7 +12,7 @@
 //! ```
 //!
 //! The payload is a fixed little-endian encoding of the trace-free
-//! [`EmulationReport`] fields (see [`encode_report`]). On open, the store
+//! [`EmulationReport`] fields (see `encode_report`). On open, the store
 //! scans the file and indexes `digest → (offset, len)`; the first record
 //! whose header is short, whose length is implausible or whose checksum
 //! does not match ends the scan and the file is truncated there

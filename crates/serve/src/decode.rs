@@ -42,7 +42,7 @@ pub fn is_idle_read_error(e: &std::io::Error) -> bool {
 /// Incremental newline-delimited decoder with a hard per-line byte cap.
 ///
 /// Feed byte chunks of any size with [`feed`](LineDecoder::feed), drain
-/// results with [`next`](LineDecoder::next), and flush the final
+/// results with [`pop`](LineDecoder::pop), and flush the final
 /// unterminated line (if any) with [`finish`](LineDecoder::finish) at
 /// end of stream.
 pub struct LineDecoder {
@@ -68,7 +68,7 @@ impl LineDecoder {
     }
 
     /// Absorb one chunk of stream bytes; complete lines become drainable
-    /// through [`next`](LineDecoder::next).
+    /// through [`pop`](LineDecoder::pop).
     pub fn feed(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
             if self.discarding {
