@@ -1,10 +1,10 @@
 //! Differential tests of the engine against its oracle: the fast core
 //! must reproduce the vendored pre-optimisation [`ReferenceEmulator`]
-//! exactly on full system runs — the paper's E2 MP3 configuration and a
-//! spread of generated graph shapes — under every arbitration and
-//! flow-control policy (which gate the fast core's internal shortcuts),
-//! for single- and multi-frame runs, and whatever the sweep pool's
-//! thread count.
+//! exactly on full system runs — the paper's E2 MP3 configuration, a
+//! spread of generated graph shapes and the committed corpus — under
+//! every arbitration and flow-control policy (which gate the fast core's
+//! internal shortcuts), for single- and multi-frame runs, and whatever
+//! the sweep pool's thread count.
 
 use segbus_apps::generators::{
     block_allocation, chain, diamond, random_layered, round_robin_allocation, uniform_platform,
@@ -16,6 +16,9 @@ use segbus_core::{
     SweepPool,
 };
 use segbus_model::mapping::Psm;
+
+mod common;
+use common::corpus;
 
 /// Every arbitration × release policy pair.
 fn policies() -> Vec<EmulatorConfig> {
@@ -125,39 +128,6 @@ fn generated_graphs_match_the_reference() {
         ));
     }
     assert_matches_reference(&psms, &[1, 2]);
-}
-
-/// The committed corpus scenarios as (`family/file.sbd`, parsed PSM),
-/// sorted by path.
-fn corpus() -> Vec<(String, Psm)> {
-    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus"));
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(root)
-        .expect("corpus/ directory")
-        .filter_map(|e| {
-            let p = e.ok()?.path();
-            p.is_dir().then_some(p)
-        })
-        .flat_map(|dir| {
-            std::fs::read_dir(dir)
-                .expect("corpus family dir")
-                .filter_map(|e| {
-                    let p = e.ok()?.path();
-                    (p.extension()? == "sbd").then_some(p)
-                })
-        })
-        .collect();
-    files.sort();
-    assert_eq!(files.len(), 15, "the corpus has fifteen scenarios");
-    files
-        .into_iter()
-        .map(|p| {
-            let text = std::fs::read_to_string(&p).expect("readable scenario");
-            let psm = segbus_dsl::parse_system(&text).expect("committed scenario parses");
-            let rel = p.strip_prefix(root).expect("corpus path");
-            let parts: Vec<_> = rel.iter().map(|c| c.to_string_lossy()).collect();
-            (parts.join("/"), psm)
-        })
-        .collect()
 }
 
 /// Every corpus scenario at a small and a large package size: the

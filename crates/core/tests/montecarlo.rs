@@ -17,6 +17,9 @@ use segbus_model::mapping::{Allocation, Psm};
 use segbus_model::platform::Platform;
 use segbus_model::psdf::{Application, Flow, FlowValues, Process};
 use segbus_model::stochastic::{mix_seed, sample_flow_values, sample_psm, Dist, FlowNoise};
+
+mod common;
+use common::corpus;
 use segbus_model::time::ClockDomain;
 
 /// Samples per pinned estimation.
@@ -24,39 +27,6 @@ const SAMPLES: u64 = 64;
 /// Report-cache capacity of the pinned pools: below `SAMPLES`, so the
 /// eviction counter is exercised too.
 const CAPACITY: usize = 48;
-
-/// The committed corpus scenarios as (`family/file.sbd`, parsed PSM),
-/// sorted by path.
-fn corpus() -> Vec<(String, Psm)> {
-    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus"));
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(root)
-        .expect("corpus/ directory")
-        .filter_map(|e| {
-            let p = e.ok()?.path();
-            p.is_dir().then_some(p)
-        })
-        .flat_map(|dir| {
-            std::fs::read_dir(dir)
-                .expect("corpus family dir")
-                .filter_map(|e| {
-                    let p = e.ok()?.path();
-                    (p.extension()? == "sbd").then_some(p)
-                })
-        })
-        .collect();
-    files.sort();
-    assert_eq!(files.len(), 15, "the corpus has fifteen scenarios");
-    files
-        .into_iter()
-        .map(|p| {
-            let text = std::fs::read_to_string(&p).expect("readable scenario");
-            let psm = segbus_dsl::parse_system(&text).expect("committed scenario parses");
-            let rel = p.strip_prefix(root).expect("corpus path");
-            let parts: Vec<_> = rel.iter().map(|c| c.to_string_lossy()).collect();
-            (parts.join("/"), psm)
-        })
-        .collect()
-}
 
 fn pool(threads: usize, capacity: usize) -> CachedPool {
     CachedPool::with_pool(

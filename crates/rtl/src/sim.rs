@@ -1280,37 +1280,16 @@ mod tests {
 
     #[test]
     fn zero_state_latencies_are_rejected() {
-        let d = RtlConfig::default();
-        for (field, cfg) in [
-            (
-                "sa_grant_ticks",
-                RtlConfig {
-                    sa_grant_ticks: 0,
-                    ..d
-                },
-            ),
-            (
-                "master_response_ticks",
-                RtlConfig {
-                    master_response_ticks: 0,
-                    ..d
-                },
-            ),
-            (
-                "detect_ticks",
-                RtlConfig {
-                    detect_ticks: 0,
-                    ..d
-                },
-            ),
-            (
-                "grant_reset_ticks",
-                RtlConfig {
-                    grant_reset_ticks: 0,
-                    ..d
-                },
-            ),
-        ] {
+        type Zero = fn(&mut RtlConfig);
+        let zeroed: [(&str, Zero); 4] = [
+            ("sa_grant_ticks", |c| c.sa_grant_ticks = 0),
+            ("master_response_ticks", |c| c.master_response_ticks = 0),
+            ("detect_ticks", |c| c.detect_ticks = 0),
+            ("grant_reset_ticks", |c| c.grant_reset_ticks = 0),
+        ];
+        for (field, zero) in zeroed {
+            let mut cfg = RtlConfig::default();
+            zero(&mut cfg);
             let err = RtlSimulator::new(cfg).run(&local_pair()).unwrap_err();
             assert_eq!(err, RtlError::InvalidConfig { field });
             assert!(err.to_string().contains(field));
