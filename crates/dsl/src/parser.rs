@@ -18,8 +18,10 @@
 //! * `M0xx`/`V0xx` — model construction/validation failures, spanned to
 //!   the block that produced them.
 
+use std::collections::HashMap;
+
 use segbus_model::diag::SegbusError;
-use segbus_model::ids::SegmentId;
+use segbus_model::ids::{ProcessId, SegmentId};
 use segbus_model::mapping::{Allocation, Psm};
 use segbus_model::platform::{Platform, Topology};
 use segbus_model::psdf::{Application, CostModel, Flow, Process};
@@ -31,26 +33,26 @@ use crate::lexer::{Lexer, Span, Token, TokenKind};
 /// A parsed `platform` block: the platform plus the `hosts` lists, with
 /// process references still by name (resolved in [`ParsedSource::into_psm`]).
 #[derive(Clone, Debug)]
-pub struct PlatformSpec {
+pub struct PlatformSpec<'a> {
     /// The platform instance.
     pub platform: Platform,
     /// `(process name, segment, name span)` triples from the `hosts`
-    /// clauses.
-    pub hosts: Vec<(String, SegmentId, Span)>,
+    /// clauses, the names borrowed from the source.
+    pub hosts: Vec<(&'a str, SegmentId, Span)>,
     /// Where the `platform` keyword appeared.
     pub span: Span,
 }
 
 /// Everything found in one DSL source.
 #[derive(Clone, Debug, Default)]
-pub struct ParsedSource {
+pub struct ParsedSource<'a> {
     /// `application` blocks in source order.
     pub applications: Vec<Application>,
     /// `platform` blocks in source order.
-    pub platforms: Vec<PlatformSpec>,
+    pub platforms: Vec<PlatformSpec<'a>>,
 }
 
-impl ParsedSource {
+impl ParsedSource<'_> {
     /// Combine the first application and first platform into a validated
     /// [`Psm`].
     pub fn into_psm(self) -> Result<Psm, SegbusError> {
@@ -67,16 +69,23 @@ impl ParsedSource {
             .into_iter()
             .next()
             .ok_or_else(|| missing("platform"))?;
+        // First declaration wins, as in `Application::process_by_name`.
+        let mut by_name: HashMap<&str, ProcessId> = HashMap::with_capacity(app.process_count());
+        for (i, p) in app.processes().iter().enumerate() {
+            by_name
+                .entry(p.name.as_str())
+                .or_insert(ProcessId(i as u32));
+        }
         let mut alloc = Allocation::new(spec.platform.segment_count());
-        for (name, seg, span) in &spec.hosts {
-            let p = app.process_by_name(name).ok_or_else(|| {
+        for &(name, seg, span) in &spec.hosts {
+            let &p = by_name.get(name).ok_or_else(|| {
                 SegbusError::new(
                     "P005",
                     format!("hosts clause names unknown process {name:?}"),
                 )
                 .with_span(span.line, span.col)
             })?;
-            alloc.assign(p, *seg);
+            alloc.assign(p, seg);
         }
         let at = spec.span;
         Psm::new(spec.platform, app, alloc)
@@ -85,23 +94,26 @@ impl ParsedSource {
 }
 
 /// Parse a DSL source into its blocks.
-pub fn parse_source(src: &str) -> Result<ParsedSource, SegbusError> {
+pub fn parse_source(src: &str) -> Result<ParsedSource<'_>, SegbusError> {
     let tokens = Lexer::new(src).tokenize()?;
     Parser { tokens, pos: 0 }.source()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+/// The processes of the application being parsed, by name.
+type ProcessNames<'a> = HashMap<&'a str, ProcessId>;
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
+    fn bump(&mut self) -> Token<'a> {
+        let t = *self.peek();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -117,18 +129,17 @@ impl Parser {
         SegbusError::new(code, msg).with_span(span.line, span.col)
     }
 
-    fn expect_kind(&mut self, k: &TokenKind) -> Result<Token, SegbusError> {
-        if &self.peek().kind == k {
+    fn expect_kind(&mut self, k: TokenKind<'_>) -> Result<Token<'a>, SegbusError> {
+        if self.peek().kind == k {
             Ok(self.bump())
         } else {
             Err(self.err(format!("expected {k}, found {}", self.peek().kind)))
         }
     }
 
-    fn ident(&mut self) -> Result<String, SegbusError> {
-        match &self.peek().kind {
+    fn ident(&mut self) -> Result<&'a str, SegbusError> {
+        match self.peek().kind {
             TokenKind::Ident(s) => {
-                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
@@ -137,7 +148,7 @@ impl Parser {
     }
 
     fn keyword(&mut self, kw: &str) -> Result<(), SegbusError> {
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::Ident(s) if s == kw => {
                 self.bump();
                 Ok(())
@@ -152,7 +163,7 @@ impl Parser {
                 self.bump();
                 Ok(v)
             }
-            ref other => Err(self.err(format!("expected an integer, found {other}"))),
+            other => Err(self.err(format!("expected an integer, found {other}"))),
         }
     }
 
@@ -180,19 +191,19 @@ impl Parser {
                 self.bump();
                 Ok(v)
             }
-            ref other => Err(self.err(format!("expected a number, found {other}"))),
+            other => Err(self.err(format!("expected a number, found {other}"))),
         }
     }
 
-    fn source(&mut self) -> Result<ParsedSource, SegbusError> {
+    fn source(&mut self) -> Result<ParsedSource<'a>, SegbusError> {
         let mut out = ParsedSource::default();
         loop {
-            match &self.peek().kind {
+            match self.peek().kind {
                 TokenKind::Eof => return Ok(out),
-                TokenKind::Ident(kw) if kw == "application" => {
+                TokenKind::Ident("application") => {
                     out.applications.push(self.application()?);
                 }
-                TokenKind::Ident(kw) if kw == "platform" => {
+                TokenKind::Ident("platform") => {
                     out.platforms.push(self.platform()?);
                 }
                 other => {
@@ -210,16 +221,17 @@ impl Parser {
         self.keyword("application")?;
         let name = self.ident()?;
         let mut app = Application::new(name);
-        self.expect_kind(&TokenKind::LBrace)?;
+        let mut names = ProcessNames::new();
+        self.expect_kind(TokenKind::LBrace)?;
         loop {
-            match &self.peek().kind {
+            match self.peek().kind {
                 TokenKind::RBrace => {
                     self.bump();
                     return Ok(app);
                 }
-                TokenKind::Ident(kw) if kw == "process" => self.process(&mut app)?,
-                TokenKind::Ident(kw) if kw == "flow" => self.flow(&mut app)?,
-                TokenKind::Ident(kw) if kw == "cost" => self.cost(&mut app)?,
+                TokenKind::Ident("process") => self.process(&mut app, &mut names)?,
+                TokenKind::Ident("flow") => self.flow(&mut app, &names)?,
+                TokenKind::Ident("cost") => self.cost(&mut app)?,
                 other => {
                     return Err(self.err(format!(
                         "expected 'process', 'flow', 'cost' or '}}', found {other}"
@@ -229,55 +241,59 @@ impl Parser {
         }
     }
 
-    fn process(&mut self, app: &mut Application) -> Result<(), SegbusError> {
+    fn process(
+        &mut self,
+        app: &mut Application,
+        names: &mut ProcessNames<'a>,
+    ) -> Result<(), SegbusError> {
         self.keyword("process")?;
         let name_span = self.peek().span;
         let name = self.ident()?;
-        if app.process_by_name(&name).is_some() {
+        if names.contains_key(name) {
             return Err(
                 SegbusError::new("P006", format!("process {name:?} is declared twice"))
                     .with_span(name_span.line, name_span.col),
             );
         }
-        let p = match &self.peek().kind {
-            TokenKind::Ident(k) if k == "initial" => {
+        let p = match self.peek().kind {
+            TokenKind::Ident("initial") => {
                 self.bump();
                 Process::initial(name)
             }
-            TokenKind::Ident(k) if k == "final" => {
+            TokenKind::Ident("final") => {
                 self.bump();
                 Process::final_(name)
             }
             _ => Process::new(name),
         };
-        app.add_process(p);
-        self.expect_kind(&TokenKind::Semi)?;
+        names.insert(name, app.add_process(p));
+        self.expect_kind(TokenKind::Semi)?;
         Ok(())
     }
 
-    fn flow(&mut self, app: &mut Application) -> Result<(), SegbusError> {
+    fn flow(&mut self, app: &mut Application, names: &ProcessNames<'a>) -> Result<(), SegbusError> {
         self.keyword("flow")?;
         let src_span = self.peek().span;
         let src_name = self.ident()?;
-        let src = app.process_by_name(&src_name).ok_or_else(|| {
+        let &src = names.get(src_name).ok_or_else(|| {
             SegbusError::new("P005", format!("unknown source process {src_name:?}"))
                 .with_span(src_span.line, src_span.col)
         })?;
-        self.expect_kind(&TokenKind::Arrow)?;
+        self.expect_kind(TokenKind::Arrow)?;
         let dst_span = self.peek().span;
         let dst_name = self.ident()?;
-        let dst = app.process_by_name(&dst_name).ok_or_else(|| {
+        let &dst = names.get(dst_name).ok_or_else(|| {
             SegbusError::new("P005", format!("unknown target process {dst_name:?}"))
                 .with_span(dst_span.line, dst_span.col)
         })?;
-        self.expect_kind(&TokenKind::LBrace)?;
+        self.expect_kind(TokenKind::LBrace)?;
         let (mut items, mut order, mut ticks) = (None, None, None);
         let mut noise = FlowNoise::default();
         let mut noise_span: Option<Span> = None;
         while self.peek().kind != TokenKind::RBrace {
             let key_span = self.peek().span;
             let key = self.ident()?;
-            match key.as_str() {
+            match key {
                 "items" => items = Some(self.int()?),
                 "order" => order = Some(self.int_u32("order")?),
                 "ticks" => ticks = Some(self.int()?),
@@ -295,9 +311,9 @@ impl Parser {
                 }
                 other => return Err(self.err(format!("unknown flow property {other:?}"))),
             }
-            self.expect_kind(&TokenKind::Semi)?;
+            self.expect_kind(TokenKind::Semi)?;
         }
-        self.expect_kind(&TokenKind::RBrace)?;
+        self.expect_kind(TokenKind::RBrace)?;
         let items = items.ok_or_else(|| self.err("flow lacks 'items'"))?;
         let order = order.ok_or_else(|| self.err("flow lacks 'order'"))?;
         let ticks = ticks.ok_or_else(|| self.err("flow lacks 'ticks'"))?;
@@ -325,7 +341,7 @@ impl Parser {
     /// `choice 0 3 10 1` (alternating value/weight pairs).
     fn dist(&mut self) -> Result<Dist, SegbusError> {
         let kind = self.ident()?;
-        Ok(match kind.as_str() {
+        Ok(match kind {
             "constant" => Dist::Constant(self.int()?),
             "uniform" => Dist::Uniform {
                 lo: self.int()?,
@@ -355,7 +371,7 @@ impl Parser {
     fn cost(&mut self, app: &mut Application) -> Result<(), SegbusError> {
         self.keyword("cost")?;
         let kind = self.ident()?;
-        let cm = match kind.as_str() {
+        let cm = match kind {
             "per_package" => CostModel::PerPackage,
             "per_item" => {
                 self.keyword("reference")?;
@@ -386,37 +402,37 @@ impl Parser {
             }
         };
         app.set_cost_model(cm);
-        self.expect_kind(&TokenKind::Semi)?;
+        self.expect_kind(TokenKind::Semi)?;
         Ok(())
     }
 
     // -- platform ---------------------------------------------------------------
 
-    fn platform(&mut self) -> Result<PlatformSpec, SegbusError> {
+    fn platform(&mut self) -> Result<PlatformSpec<'a>, SegbusError> {
         let block_span = self.peek().span;
         self.keyword("platform")?;
         let name = self.ident()?;
-        self.expect_kind(&TokenKind::LBrace)?;
+        self.expect_kind(TokenKind::LBrace)?;
         let mut package_size: Option<u32> = None;
         let mut topology: Option<Topology> = None;
         let mut ca_clock: Option<ClockDomain> = None;
-        let mut segments: Vec<(String, ClockDomain)> = Vec::new();
-        let mut hosts: Vec<(String, SegmentId, Span)> = Vec::new();
+        let mut segments: Vec<(&str, ClockDomain)> = Vec::new();
+        let mut hosts: Vec<(&'a str, SegmentId, Span)> = Vec::new();
         loop {
-            match &self.peek().kind {
+            match self.peek().kind {
                 TokenKind::RBrace => {
                     self.bump();
                     break;
                 }
-                TokenKind::Ident(kw) if kw == "package_size" => {
+                TokenKind::Ident("package_size") => {
                     self.bump();
                     package_size = Some(self.int_u32("package_size")?);
-                    self.expect_kind(&TokenKind::Semi)?;
+                    self.expect_kind(TokenKind::Semi)?;
                 }
-                TokenKind::Ident(kw) if kw == "topology" => {
+                TokenKind::Ident("topology") => {
                     self.bump();
                     let t = self.ident()?;
-                    topology = Some(match t.as_str() {
+                    topology = Some(match t {
                         "linear" => Topology::Linear,
                         "ring" => Topology::Ring,
                         other => {
@@ -425,33 +441,31 @@ impl Parser {
                             )
                         }
                     });
-                    self.expect_kind(&TokenKind::Semi)?;
+                    self.expect_kind(TokenKind::Semi)?;
                 }
-                TokenKind::Ident(kw) if kw == "ca" => {
+                TokenKind::Ident("ca") => {
                     self.bump();
-                    self.expect_kind(&TokenKind::LBrace)?;
+                    self.expect_kind(TokenKind::LBrace)?;
                     ca_clock = Some(self.clock()?);
-                    self.expect_kind(&TokenKind::RBrace)?;
+                    self.expect_kind(TokenKind::RBrace)?;
                 }
-                TokenKind::Ident(kw) if kw == "segment" => {
+                TokenKind::Ident("segment") => {
                     self.bump();
                     let sname = self.ident()?;
                     let seg = SegmentId(segments.len() as u16);
-                    self.expect_kind(&TokenKind::LBrace)?;
+                    self.expect_kind(TokenKind::LBrace)?;
                     let clock = self.clock()?;
                     // optional hosts clause
-                    if let TokenKind::Ident(k) = &self.peek().kind {
-                        if k == "hosts" {
-                            self.bump();
-                            while self.peek().kind != TokenKind::Semi {
-                                let pspan = self.peek().span;
-                                let pname = self.ident()?;
-                                hosts.push((pname, seg, pspan));
-                            }
-                            self.expect_kind(&TokenKind::Semi)?;
+                    if self.peek().kind == TokenKind::Ident("hosts") {
+                        self.bump();
+                        while self.peek().kind != TokenKind::Semi {
+                            let pspan = self.peek().span;
+                            let pname = self.ident()?;
+                            hosts.push((pname, seg, pspan));
                         }
+                        self.expect_kind(TokenKind::Semi)?;
                     }
-                    self.expect_kind(&TokenKind::RBrace)?;
+                    self.expect_kind(TokenKind::RBrace)?;
                     segments.push((sname, clock));
                 }
                 other => {
@@ -491,7 +505,7 @@ impl Parser {
         let value_err = |msg: &str| {
             SegbusError::new("P003", msg.to_string()).with_span(value_span.line, value_span.col)
         };
-        let clock = match key.as_str() {
+        let clock = match key {
             "freq_mhz" => {
                 let v = self.number()?;
                 ClockDomain::try_from_mhz(v)
@@ -508,7 +522,7 @@ impl Parser {
                 )))
             }
         };
-        self.expect_kind(&TokenKind::Semi)?;
+        self.expect_kind(TokenKind::Semi)?;
         Ok(clock)
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The PSM (paper §2.2/§3.2) combines a platform instance with the placement
 //! of every application process on a segment. [`Psm`] bundles platform,
-//! application and allocation after validating them together, and derives
-//! the communication matrix.
+//! application and allocation after validating them together; the
+//! communication matrix is derived on demand ([`Psm::matrix`]).
 
 use crate::error::ModelError;
 use crate::ids::{ProcessId, SegmentId};
@@ -159,7 +159,6 @@ pub struct Psm {
     platform: Platform,
     application: Application,
     allocation: Allocation,
-    matrix: CommMatrix,
 }
 
 impl Psm {
@@ -182,12 +181,10 @@ impl Psm {
                 first_code: first.constraint.code(),
             });
         }
-        let matrix = CommMatrix::from_application(&application);
         Ok(Psm {
             platform,
             application,
             allocation,
-            matrix,
         })
     }
 
@@ -206,9 +203,10 @@ impl Psm {
         &self.allocation
     }
 
-    /// The derived communication matrix.
-    pub fn matrix(&self) -> &CommMatrix {
-        &self.matrix
+    /// The communication matrix, derived from the application on each
+    /// call (a P×P table no emulation needs).
+    pub fn matrix(&self) -> CommMatrix {
+        CommMatrix::from_application(&self.application)
     }
 
     /// Segment of a process (always defined after validation).
@@ -222,14 +220,19 @@ impl Psm {
         self.segment_of(f.src) == self.segment_of(f.dst)
     }
 
-    /// Rebuild the PSM with the same application/allocation on a platform
-    /// that differs only in package size.
+    /// The same application and allocation on a platform that differs
+    /// only in package size.
+    ///
+    /// No rule is re-run: the only error-level rule that depends on the
+    /// package size is V002 (non-zero), and [`Platform::with_package_size`]
+    /// rejects zero itself. V007 is a warning, which [`Psm::new`] never
+    /// reports.
     pub fn with_package_size(&self, s: u32) -> Result<Psm, ModelError> {
-        Psm::new(
-            self.platform.with_package_size(s)?,
-            self.application.clone(),
-            self.allocation.clone(),
-        )
+        Ok(Psm {
+            platform: self.platform.with_package_size(s)?,
+            application: self.application.clone(),
+            allocation: self.allocation.clone(),
+        })
     }
 
     /// Rebuild the PSM with one process moved to another segment (the

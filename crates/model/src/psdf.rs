@@ -272,6 +272,26 @@ pub struct Wave {
     pub flows: Vec<FlowId>,
 }
 
+/// Per-process tables over an application's flows, built in one pass
+/// ([`Application::flow_tables`]) so whole-graph checks stay linear.
+pub(crate) struct FlowTables {
+    /// Number of flows into each process.
+    pub(crate) inputs: Vec<u32>,
+    /// Number of flows out of each process.
+    pub(crate) outputs: Vec<u32>,
+    /// The largest order among the flows into each process; `None` for a
+    /// process without inputs.
+    pub(crate) max_input_order: Vec<Option<u32>>,
+}
+
+impl FlowTables {
+    /// `true` if `f`'s order exceeds the order of every flow feeding its
+    /// source (always true for a source without inputs).
+    pub(crate) fn respects_dependencies(&self, f: &Flow) -> bool {
+        self.max_input_order[f.src.index()].is_none_or(|m| m < f.order)
+    }
+}
+
 /// A complete PSDF application: processes plus packet flows.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Application {
@@ -400,18 +420,37 @@ impl Application {
 
     /// Processes with no incoming flows (the graph's sources).
     pub fn sources(&self) -> Vec<ProcessId> {
+        let t = self.flow_tables();
         (0..self.processes.len() as u32)
             .map(ProcessId)
-            .filter(|&p| self.inputs_of(p).next().is_none())
+            .filter(|p| t.inputs[p.index()] == 0)
             .collect()
     }
 
     /// Processes with no outgoing flows (the graph's sinks).
     pub fn sinks(&self) -> Vec<ProcessId> {
+        let t = self.flow_tables();
         (0..self.processes.len() as u32)
             .map(ProcessId)
-            .filter(|&p| self.outputs_of(p).next().is_none())
+            .filter(|p| t.outputs[p.index()] == 0)
             .collect()
+    }
+
+    /// The per-process flow tables, in one pass over the flows.
+    pub(crate) fn flow_tables(&self) -> FlowTables {
+        let n = self.processes.len();
+        let mut t = FlowTables {
+            inputs: vec![0; n],
+            outputs: vec![0; n],
+            max_input_order: vec![None; n],
+        };
+        for f in &self.flows {
+            t.outputs[f.src.index()] += 1;
+            let d = f.dst.index();
+            t.inputs[d] += 1;
+            t.max_input_order[d] = t.max_input_order[d].max(Some(f.order));
+        }
+        t
     }
 
     /// Total number of data items carried by all flows.
@@ -441,10 +480,8 @@ impl Application {
     /// i.e. the wave schedule respects data dependencies. Initial processes
     /// (no inputs) are unconstrained.
     pub fn orders_respect_dependencies(&self) -> bool {
-        self.flows.iter().all(|f| {
-            self.inputs_of(f.src)
-                .all(|in_id| self.flow(in_id).order < f.order)
-        })
+        let t = self.flow_tables();
+        self.flows.iter().all(|f| t.respects_dependencies(f))
     }
 
     /// Assign ordering numbers by topological wave: sources' flows get
@@ -454,54 +491,61 @@ impl Application {
     /// Useful for generated applications; the MP3 model carries the paper's
     /// explicit ordering.
     pub fn assign_orders_topologically(&mut self) -> Result<(), ModelError> {
-        let n = self.processes.len();
-        // level[p] = wave in which p's outputs may start (1-based).
-        let mut level = vec![0u32; n];
-        let mut indeg = vec![0usize; n];
-        for f in &self.flows {
-            indeg[f.dst.index()] += 1;
-        }
-        let mut queue: Vec<ProcessId> = (0..n as u32)
-            .map(ProcessId)
-            .filter(|p| indeg[p.index()] == 0)
-            .collect();
-        for &p in &queue {
-            level[p.index()] = 1;
-        }
-        let mut visited = 0usize;
-        let mut qi = 0usize;
-        while qi < queue.len() {
-            let p = queue[qi];
-            qi += 1;
-            visited += 1;
-            let lp = level[p.index()];
-            for (i, f) in self.flows.iter().enumerate() {
-                let _ = i;
-                if f.src != p {
-                    continue;
-                }
-                let d = f.dst.index();
-                if level[d] < lp + 1 {
-                    level[d] = lp + 1;
-                }
-                indeg[d] -= 1;
-                if indeg[d] == 0 {
-                    queue.push(f.dst);
-                }
-            }
-        }
-        if visited != n {
-            // A cycle: report the first process involved.
-            let p = (0..n)
-                .find(|&i| indeg[i] > 0)
-                .map(|i| ProcessId(i as u32))
-                .unwrap_or(ProcessId(0));
-            return Err(ModelError::UnknownProcess(p));
-        }
+        let level = self
+            .topological_levels()
+            .map_err(ModelError::UnknownProcess)?;
         for f in &mut self.flows {
             f.order = level[f.src.index()];
         }
         Ok(())
+    }
+
+    /// The topological wave of every process (1-based): sources are at
+    /// level 1 and every other process one past its deepest input. One
+    /// Kahn pass over a CSR adjacency of the flows. On a cycle, returns
+    /// the first process (by id) that the pass could not reach.
+    pub(crate) fn topological_levels(&self) -> Result<Vec<u32>, ProcessId> {
+        let n = self.processes.len();
+        // CSR adjacency: the targets of `p`'s flows, in flow order, are
+        // `targets[start[p]..start[p + 1]]`.
+        let mut start = vec![0usize; n + 1];
+        let mut indeg = vec![0u32; n];
+        for f in &self.flows {
+            start[f.src.index() + 1] += 1;
+            indeg[f.dst.index()] += 1;
+        }
+        for p in 0..n {
+            start[p + 1] += start[p];
+        }
+        let mut next = start.clone();
+        let mut targets = vec![0usize; self.flows.len()];
+        for f in &self.flows {
+            let s = f.src.index();
+            targets[next[s]] = f.dst.index();
+            next[s] += 1;
+        }
+        let mut level = vec![0u32; n];
+        let mut queue: Vec<usize> = (0..n).filter(|&p| indeg[p] == 0).collect();
+        for &p in &queue {
+            level[p] = 1;
+        }
+        let mut qi = 0;
+        while qi < queue.len() {
+            let p = queue[qi];
+            qi += 1;
+            let below = level[p] + 1;
+            for &d in &targets[start[p]..start[p + 1]] {
+                level[d] = level[d].max(below);
+                indeg[d] -= 1;
+                if indeg[d] == 0 {
+                    queue.push(d);
+                }
+            }
+        }
+        match indeg.iter().position(|&d| d > 0) {
+            Some(p) => Err(ProcessId(p as u32)),
+            None => Ok(level),
+        }
     }
 
     /// Largest ordering number used, or 0 for an empty application.

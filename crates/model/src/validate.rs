@@ -7,6 +7,7 @@
 //! producing [`Diagnostic`]s with stable codes, so the DSL front-end, the
 //! XML importer and [`crate::mapping::Psm::new`] all share one rule set.
 
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::ids::ProcessId;
@@ -141,11 +142,14 @@ pub fn validate_platform(platform: &Platform, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Application-only checks (V006–V012).
+/// Application-only checks (V006–V012), linear in processes plus flows:
+/// one pass over the flows builds the degree and input-order tables
+/// every per-process rule reads.
 pub fn validate_application(app: &Application, package_size: u32, out: &mut Vec<Diagnostic>) {
-    // V011 — unique names.
-    for (i, p) in app.processes().iter().enumerate() {
-        if app.processes()[..i].iter().any(|q| q.name == p.name) {
+    // V011 — unique names: every repeat of an earlier name.
+    let mut seen = HashSet::with_capacity(app.process_count());
+    for p in app.processes() {
+        if !seen.insert(p.name.as_str()) {
             out.push(Diagnostic::error(
                 Constraint::UniqueNames,
                 format!("process name {:?} is used more than once", p.name),
@@ -155,17 +159,15 @@ pub fn validate_application(app: &Application, package_size: u32, out: &mut Vec<
 
     // V010 — acyclicity (and V008 source existence, which a cyclic graph
     // also violates).
-    let cyclic = {
-        let mut probe = app.clone();
-        probe.assign_orders_topologically().is_err()
-    };
+    let cyclic = app.topological_levels().is_err();
     if cyclic {
         out.push(Diagnostic::error(
             Constraint::Acyclic,
             "the dataflow graph contains a cycle".into(),
         ));
     }
-    if app.process_count() > 0 && app.sources().is_empty() {
+    let tables = app.flow_tables();
+    if app.process_count() > 0 && !tables.inputs.contains(&0) {
         out.push(Diagnostic::error(
             Constraint::HasSource,
             "no process is a source (every process has inputs)".into(),
@@ -174,12 +176,9 @@ pub fn validate_application(app: &Application, package_size: u32, out: &mut Vec<
 
     // V006 — wave schedule must respect dependencies (skip if cyclic; the
     // cycle diagnostic already covers it).
-    if !cyclic && !app.orders_respect_dependencies() {
+    if !cyclic {
         for f in app.flows() {
-            let bad = app
-                .inputs_of(f.src)
-                .any(|in_id| app.flow(in_id).order >= f.order);
-            if bad {
+            if !tables.respects_dependencies(f) {
                 out.push(Diagnostic::error(
                     Constraint::OrderRespectsDependencies,
                     format!(
@@ -214,32 +213,26 @@ pub fn validate_application(app: &Application, package_size: u32, out: &mut Vec<
 
     // V009 — kind consistency.
     for (i, p) in app.processes().iter().enumerate() {
-        let id = ProcessId(i as u32);
         match p.kind {
-            ProcessKind::Initial => {
-                if app.inputs_of(id).next().is_some() {
-                    out.push(Diagnostic::warning(
-                        Constraint::KindConsistent,
-                        format!("initial process {} has incoming flows", p.name),
-                    ));
-                }
+            ProcessKind::Initial if tables.inputs[i] > 0 => {
+                out.push(Diagnostic::warning(
+                    Constraint::KindConsistent,
+                    format!("initial process {} has incoming flows", p.name),
+                ));
             }
-            ProcessKind::Final => {
-                if app.outputs_of(id).next().is_some() {
-                    out.push(Diagnostic::warning(
-                        Constraint::KindConsistent,
-                        format!("final process {} has outgoing flows", p.name),
-                    ));
-                }
+            ProcessKind::Final if tables.outputs[i] > 0 => {
+                out.push(Diagnostic::warning(
+                    Constraint::KindConsistent,
+                    format!("final process {} has outgoing flows", p.name),
+                ));
             }
-            ProcessKind::Internal => {}
+            _ => {}
         }
     }
 
     // V012 — connectivity.
     for (i, p) in app.processes().iter().enumerate() {
-        let id = ProcessId(i as u32);
-        if app.inputs_of(id).next().is_none() && app.outputs_of(id).next().is_none() {
+        if tables.inputs[i] == 0 && tables.outputs[i] == 0 {
             out.push(Diagnostic::warning(
                 Constraint::ProcessConnected,
                 format!("process {} participates in no flow", p.name),
