@@ -9,7 +9,8 @@
 /// Discussion).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RtlConfig {
-    /// Synchroniser depth for any signal crossing two clock domains.
+    /// Synchroniser depth for any signal crossing two clock domains (at
+    /// least 1).
     pub sync_ticks: u64,
     /// SA latency to set a grant line (at least 1).
     pub sa_grant_ticks: u64,

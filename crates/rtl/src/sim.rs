@@ -92,7 +92,9 @@ impl RtlSimulator {
     /// Returns [`RtlError::InvalidConfig`] if `sa_grant_ticks`,
     /// `master_response_ticks`, `detect_ticks` or `grant_reset_ticks` is
     /// zero: each is the length of an SA protocol state, which lasts at
-    /// least one tick.
+    /// least one tick. The same holds for `sync_ticks`: without a
+    /// synchroniser stage a cross-domain message would become visible in
+    /// the instant it is sent.
     ///
     /// # Panics
     /// Panics if `frames` is zero.
@@ -104,6 +106,7 @@ impl RtlSimulator {
             ("master_response_ticks", cfg.master_response_ticks),
             ("detect_ticks", cfg.detect_ticks),
             ("grant_reset_ticks", cfg.grant_reset_ticks),
+            ("sync_ticks", cfg.sync_ticks),
         ] {
             if ticks == 0 {
                 return Err(RtlError::InvalidConfig { field });
@@ -1281,11 +1284,12 @@ mod tests {
     #[test]
     fn zero_state_latencies_are_rejected() {
         type Zero = fn(&mut RtlConfig);
-        let zeroed: [(&str, Zero); 4] = [
+        let zeroed: [(&str, Zero); 5] = [
             ("sa_grant_ticks", |c| c.sa_grant_ticks = 0),
             ("master_response_ticks", |c| c.master_response_ticks = 0),
             ("detect_ticks", |c| c.detect_ticks = 0),
             ("grant_reset_ticks", |c| c.grant_reset_ticks = 0),
+            ("sync_ticks", |c| c.sync_ticks = 0),
         ];
         for (field, zero) in zeroed {
             let mut cfg = RtlConfig::default();
