@@ -36,7 +36,7 @@ use segbus_model::mapping::Psm;
 use segbus_model::psdf::FlowValues;
 use segbus_model::time::{ClockDomain, Picos};
 
-use crate::config::{EmulatorConfig, ProducerRelease};
+use crate::config::EmulatorConfig;
 use crate::precheck::compute_ticks;
 use crate::report::EmulationReport;
 use crate::trace::TraceLog;
@@ -281,16 +281,6 @@ pub struct EnginePlan<'a> {
     /// rebuild only the O(degree) mapping-dependent `flow_path` entries.
     proc_flow_off: Vec<u32>,
     proc_flow: Vec<u32>,
-}
-
-/// Reusable accumulation buffers for
-/// [`EnginePlan::makespan_lower_bound_in`]. A default-constructed value
-/// works for any plan; buffers grow to the plan's process and segment
-/// counts on first use and are retained across calls.
-#[derive(Default)]
-pub struct LowerBoundScratch {
-    proc_ps: Vec<u128>,
-    seg_ps: Vec<u128>,
 }
 
 /// The revertable record of one [`EnginePlan::try_remap`]: which process
@@ -604,132 +594,6 @@ impl<'a> EnginePlan<'a> {
             self.flow_path[f as usize] = old;
         }
     }
-
-    /// An admissible lower bound on the plan's `frames`-frame makespan:
-    /// the larger of a **global** term and a **wave-chain** term.
-    ///
-    /// The global term (scaled by `frames`) is the busiest single
-    /// resource:
-    ///
-    /// * **producer serialisation** — a producer handles its packages
-    ///   strictly one at a time: it computes a package and stays busy
-    ///   until the package's bus phase completes (through final delivery
-    ///   under [`ProducerRelease::AfterDelivery`], through the source
-    ///   segment's serve under
-    ///   [`ProducerRelease::AfterLocalPhase`]), so the sum of
-    ///   compute-plus-serve over its packages bounds the run from below;
-    /// * **boundary traffic** — every package transfer occupies each
-    ///   segment on its path for the full bus transaction, and transfers
-    ///   on one segment never overlap, so the busiest segment's occupancy
-    ///   bounds the run from below.
-    ///
-    /// The wave-chain term exploits the barrier semantics of DESIGN.md
-    /// §4: within a frame, wave `w`'s producers are armed only once wave
-    /// `w−1` has *fully delivered*, so frame 0's waves execute strictly
-    /// in sequence no matter how many frames pipeline around them. The
-    /// single-frame chain — the sum over waves of each wave's busiest
-    /// resource (the two global terms restricted to that wave's flows) —
-    /// is therefore admissible for any frame count.
-    ///
-    /// All terms count mandatory work only (edge alignment, arbitration
-    /// waits and circuit stalls can only add time), so the bound never
-    /// exceeds the emulated makespan — the property tests pin
-    /// `makespan_lower_bound ≤ makespan` across the corpus. Placement
-    /// search uses it to skip emulating candidates that provably cannot
-    /// beat an incumbent.
-    pub fn makespan_lower_bound(&self, config: &EmulatorConfig, frames: u64) -> Picos {
-        self.makespan_lower_bound_in(config, frames, &mut LowerBoundScratch::default())
-    }
-
-    /// [`EnginePlan::makespan_lower_bound`] with caller-owned scratch, so
-    /// hot loops (placement search bounds one plan per candidate) pay no
-    /// allocation per call.
-    pub fn makespan_lower_bound_in(
-        &self,
-        config: &EmulatorConfig,
-        frames: u64,
-        scratch: &mut LowerBoundScratch,
-    ) -> Picos {
-        let bus_ticks = config.timing.bus_transaction_ticks(self.s) as u128;
-        let full_path = config.producer_release == ProducerRelease::AfterDelivery;
-        scratch.proc_ps.clear();
-        scratch.proc_ps.resize(self.nproc, 0);
-        scratch.seg_ps.clear();
-        scratch.seg_ps.resize(self.nseg, 0);
-        let (proc_ps, seg_ps) = (&mut scratch.proc_ps, &mut scratch.seg_ps);
-        // Per-flow accumulation shared by the global pass (all flows) and
-        // the per-wave passes (one wave's flows at a time): returns the
-        // largest resource total after folding flow `f` in.
-        let add_flow = |f: usize, proc_ps: &mut [u128], seg_ps: &mut [u128]| -> u128 {
-            let pkgs = self.flow_pkgs[f] as u128;
-            let src = self.flow_src[f].index();
-            let src_seg = self.proc_seg[src].index();
-            let src_period = self.seg_clock[src_seg].period_ps() as u128;
-            let mut worst = 0u128;
-            // Mandatory bus time between compute-done and the producer's
-            // release, per package.
-            let mut serve_ps = bus_ticks * src_period;
-            let path = self.flow_path[f];
-            if path == NO_PATH {
-                seg_ps[src_seg] += pkgs * bus_ticks * src_period;
-                worst = worst.max(seg_ps[src_seg]);
-            } else {
-                let mut path_ps = 0u128;
-                for m in &self.paths[path as usize].segs {
-                    let period = self.seg_clock[m.index()].period_ps() as u128;
-                    seg_ps[m.index()] += pkgs * bus_ticks * period;
-                    worst = worst.max(seg_ps[m.index()]);
-                    path_ps += bus_ticks * period;
-                }
-                if full_path {
-                    // Send-and-wait: the producer resumes only on final
-                    // delivery, after the package was served on every
-                    // segment along its path in turn.
-                    serve_ps = path_ps;
-                }
-            }
-            proc_ps[src] += pkgs * (self.flow_compute[f] as u128 * src_period + serve_ps);
-            worst.max(proc_ps[src])
-        };
-        let mut bound = 0u128;
-        if frames > 1 {
-            // Global term. At `frames == 1` the chain term dominates it
-            // (a resource's total is the sum of its per-wave loads, each
-            // ≤ that wave's maximum), so the pass is skipped there.
-            let mut global = 0u128;
-            for f in 0..self.flow_src.len() {
-                global = global.max(add_flow(f, proc_ps, seg_ps));
-            }
-            bound = global * frames as u128;
-            proc_ps.fill(0);
-            seg_ps.fill(0);
-        }
-        // Wave-chain term: the same accumulation one wave at a time,
-        // zeroing only the touched slots between waves.
-        let mut chain = 0u128;
-        for flows in &self.waves {
-            let mut wave_worst = 0u128;
-            for f in flows {
-                wave_worst = wave_worst.max(add_flow(f.index(), proc_ps, seg_ps));
-            }
-            chain += wave_worst;
-            for f in flows {
-                let fi = f.index();
-                let src = self.flow_src[fi].index();
-                proc_ps[src] = 0;
-                let path = self.flow_path[fi];
-                if path == NO_PATH {
-                    seg_ps[self.proc_seg[src].index()] = 0;
-                } else {
-                    for m in &self.paths[path as usize].segs {
-                        seg_ps[m.index()] = 0;
-                    }
-                }
-            }
-        }
-        bound = bound.max(chain);
-        Picos(bound.min(u64::MAX as u128) as u64)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -866,7 +730,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ArbitrationPolicy;
+    use crate::config::{ArbitrationPolicy, ProducerRelease};
     use crate::trace::TraceKind;
     use segbus_model::mapping::Allocation;
     use segbus_model::platform::Platform;

@@ -61,7 +61,7 @@ pub use cache::{job_digest, job_digest_from, BatchJob, CacheStats, CachedPool, R
 pub use config::{ArbitrationPolicy, EmulatorConfig, ProducerRelease, TimingParams};
 pub use counters::{BuCounters, CaCounters, FuTimes, SaCounters};
 pub use energy::{estimate_energy, EnergyBreakdown, EnergyModel};
-pub use engine::{Emulator, Engine, EnginePlan, LowerBoundScratch, PlanDelta};
+pub use engine::{Emulator, Engine, EnginePlan, PlanDelta};
 pub use gantt::ascii_gantt;
 pub use montecarlo::{run_monte_carlo, McOptions, McReport, McStats, UtilisationSpread};
 pub use parallel::SweepPool;

@@ -271,8 +271,8 @@ fn gen_star(rng: &mut SmallRng) -> Psm {
 fn gen_grid(rng: &mut SmallRng) -> Psm {
     // 100–156 processes. One or two packages per flow and light compute
     // keep the scenario cheap to emulate while making it communication-
-    // dominated — the regime where the placement search's lower bound and
-    // plan patching pay off.
+    // dominated — the regime where the placement search's plan patching
+    // pays off.
     let width = rng.range_usize(10, 13);
     let height = rng.range_usize(10, 12);
     let mut app = grid(

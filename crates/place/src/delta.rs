@@ -17,14 +17,12 @@
 //!   *patches* it per candidate via [`EnginePlan::try_remap`] (O(degree)
 //!   per moved process), runs it with a reused report buffer, derives
 //!   the candidate's content digest incrementally from the base model's
-//!   [`Psm::digest_prefix`], and offers the plan's admissible
-//!   [`EnginePlan::makespan_lower_bound`] so callers can skip emulating
-//!   candidates that provably cannot beat an incumbent.
+//!   [`Psm::digest_prefix`].
 //!
 //! Both are exact caches of the same deterministic cost functions the
 //! full-sweep [`PlaceTool::cost`] computes, which the tests below pin.
 
-use segbus_core::{EmulationReport, Engine, EnginePlan, LowerBoundScratch};
+use segbus_core::{EmulationReport, Engine, EnginePlan};
 use segbus_model::digest::{digest_with_slots, Fnv64};
 use segbus_model::ids::{ProcessId, SegmentId};
 use segbus_model::mapping::{Allocation, Psm};
@@ -66,7 +64,7 @@ impl EvalBase {
 /// What [`PatchState::prepare`] concluded about a candidate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum PatchOutcome {
-    /// The plan now describes the candidate; run or bound it.
+    /// The plan now describes the candidate; run it.
     Ready,
     /// The candidate cannot be emulated (empty segment or unroutable
     /// move) — its cost is `u64::MAX`, same as the model-rebuild path.
@@ -90,8 +88,6 @@ pub(crate) struct PatchState<'b> {
     /// Candidate slots loaded by the last [`PatchState::prepare`].
     cand: Vec<u16>,
     seg_count: Vec<u32>,
-    /// Reused by [`PatchState::lower_bound`].
-    lb_scratch: LowerBoundScratch,
     /// Successful [`EnginePlan::try_remap`] calls (one per moved
     /// process), surfaced as `plan_patches` in the search stats.
     pub(crate) patches: u64,
@@ -124,7 +120,6 @@ impl<'b> PatchState<'b> {
             report: EmulationReport::empty(),
             cand: Vec::with_capacity(n),
             seg_count: vec![0; tool.segments],
-            lb_scratch: LowerBoundScratch::default(),
             patches: 0,
         }
     }
@@ -156,8 +151,7 @@ impl<'b> PatchState<'b> {
 
     /// Patch the plan to describe the candidate loaded by the last
     /// [`PatchState::prepare`] (which must have returned `Ready`). After
-    /// `Ready`, [`PatchState::run`] and [`PatchState::lower_bound`]
-    /// refer to this candidate.
+    /// `Ready`, [`PatchState::run`] emulates this candidate.
     pub(crate) fn patch(&mut self) -> PatchOutcome {
         let plan = self.plan.as_mut().expect("patch needs a prepared plan");
         for p in 0..self.cand.len() {
@@ -186,16 +180,6 @@ impl<'b> PatchState<'b> {
     /// from the base prefix.
     pub(crate) fn psm_digest(&self) -> u64 {
         digest_with_slots(self.prefix, &self.cand)
-    }
-
-    /// Admissible lower bound on the patched candidate's makespan,
-    /// computed into a scratch buffer reused across candidates.
-    pub(crate) fn lower_bound(&mut self, tool: &PlaceTool) -> u64 {
-        self.plan
-            .as_ref()
-            .expect("lower_bound needs a prepared plan")
-            .makespan_lower_bound_in(&tool.emu_config, 1, &mut self.lb_scratch)
-            .0
     }
 
     /// Emulate the prepared candidate on the patched plan, reusing the
@@ -445,34 +429,6 @@ mod tests {
                 format!("{fresh:?}"),
                 "step {step}: patched report diverged from the fresh model"
             );
-        }
-    }
-
-    /// The plan's lower bound is admissible on every candidate the walk
-    /// visits: never above the emulated makespan, and never trivial.
-    #[test]
-    fn plan_lower_bound_never_exceeds_patched_makespan() {
-        let app = app();
-        let n = app.process_count();
-        let platform = Platform::builder("delta-lb-test")
-            .uniform_segments(SEGMENTS, ClockDomain::from_mhz(100.0))
-            .build()
-            .expect("valid platform");
-        let tool = PlaceTool::new(&app, SEGMENTS).with_makespan(&platform);
-        let base = EvalBase::new(&tool);
-        let mut patch = PatchState::new(&tool, &base);
-        let mut engine = Engine::new(tool.emu_config);
-        let mut rng = SmallRng::seed_from_u64(0x10B0);
-        let mut slots: Vec<u16> = (0..n).map(|p| (p % SEGMENTS) as u16).collect();
-        for step in 0..40 {
-            random_step(&mut rng, &mut slots, SEGMENTS);
-            let alloc = alloc_of(&slots, SEGMENTS);
-            assert_eq!(patch.prepare(&tool, &alloc), PatchOutcome::Ready);
-            assert_eq!(patch.patch(), PatchOutcome::Ready);
-            let lb = patch.lower_bound(&tool);
-            let mk = patch.run(&mut engine);
-            assert!(lb > 0, "step {step}: trivial bound");
-            assert!(lb <= mk, "step {step}: bound {lb} above makespan {mk}");
         }
     }
 }

@@ -153,38 +153,6 @@ fn makespan_lower_bound() {
     });
 }
 
-/// The compiled plan's makespan lower bound
-/// ([`EnginePlan::makespan_lower_bound`], the one the placement search
-/// uses to skip emulations) is admissible: never above the emulated
-/// makespan, for pipelined frame counts and both producer-release
-/// policies.
-#[test]
-fn plan_lower_bound_is_admissible() {
-    use segbus::emu::{EnginePlan, ProducerRelease};
-    for_each_system(0xC0_0009, 48, |_, psm| {
-        let plan = EnginePlan::new(psm);
-        for release in [
-            ProducerRelease::AfterDelivery,
-            ProducerRelease::AfterLocalPhase,
-        ] {
-            let config = EmulatorConfig {
-                producer_release: release,
-                ..EmulatorConfig::default()
-            };
-            for frames in [1u64, 2, 3] {
-                let lb = plan.makespan_lower_bound(&config, frames);
-                let r = Emulator::new(config).run_frames(psm, frames);
-                assert!(
-                    lb.0 <= r.makespan.0,
-                    "bound {} above makespan {} (frames {frames}, {release:?})",
-                    lb.0,
-                    r.makespan.0
-                );
-            }
-        }
-    });
-}
-
 /// The detailed reference simulation always completes and is never
 /// faster than the estimator (it pays for every signal the estimator
 /// skips), while staying within a sane factor.
