@@ -9,7 +9,7 @@
 //!   scaled by the cost model), requests the bus, and resumes with the next
 //!   package once its local transfer phase completes;
 //! * intra-segment transfers occupy the segment bus for
-//!   [`crate::TimingParams::bus_transaction_ticks`] ticks;
+//!   [`crate::config::bus_transaction_ticks`] ticks;
 //! * inter-segment transfers are circuit-switched: the CA reserves every
 //!   segment on the path (linear, or the shorter way around a ring), the
 //!   package hops BU to BU, and segments are released in a cascade as the
@@ -459,14 +459,13 @@ impl<'a> EnginePlan<'a> {
     /// compiling a fresh [`EnginePlan`] for the model with those values.
     ///
     /// The `C008` bound of [`crate::precheck::strict_validate`] runs first,
-    /// over `values`, `frames` and `config`, and the compute ticks are
+    /// over `values` and `frames`, and the compute ticks are
     /// derived in checked arithmetic, so no value that would fail the
     /// pre-flight can reach the plan. On an error the plan is unchanged.
     pub fn try_set_flow_values(
         &mut self,
         values: &[FlowValues],
         frames: u64,
-        config: &EmulatorConfig,
     ) -> Result<(), SegbusError> {
         if values.len() != self.flow_src.len() {
             return Err(SegbusError::new(
@@ -483,7 +482,6 @@ impl<'a> EnginePlan<'a> {
             self.waves.len(),
             values.iter().copied(),
             frames,
-            config,
         )?;
         // The check proved every compute tick fits, so no error can arise
         // once the first table entry is written.

@@ -117,7 +117,10 @@ use std::marker::PhantomData;
 use segbus_model::ids::{FlowId, ProcessId, SegmentId};
 use segbus_model::time::Picos;
 
-use crate::config::{ArbitrationPolicy, EmulatorConfig, ProducerRelease};
+use crate::config::{
+    bus_transaction_ticks, ArbitrationPolicy, EmulatorConfig, ProducerRelease, CA_GRANT_TICKS,
+    CA_RELEASE_TICKS, CA_REQUEST_TICKS, WP_SAMPLE_TICKS,
+};
 use crate::counters::{BuCounters, CaCounters, FuTimes, SaCounters};
 use crate::engine::{EnginePlan, NO_PATH};
 use crate::report::EmulationReport;
@@ -305,10 +308,9 @@ pub(crate) struct FastScratch {
     /// Bus occupancy of one package transaction per segment
     /// (`bus_transaction_ticks × period`).
     seg_bus_ps: Vec<u64>,
-    /// BU sampling + synchroniser wait per segment
-    /// (`(wp_sample + bu_sync) × period`).
+    /// BU sampling wait per segment (`WP_SAMPLE_TICKS × period`).
     seg_hop_wait_ps: Vec<u64>,
-    /// CA request registration latency (`ca_request_ticks × CA period`).
+    /// CA request registration latency (`CA_REQUEST_TICKS × CA period`).
     ca_req_ps: u64,
     // -- traced-only side tables (empty when `TRACED` is false) ----------
     /// Frame-global package index of each producer's in-flight compute.
@@ -333,14 +335,7 @@ fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
 }
 
 impl FastScratch {
-    fn reset(
-        &mut self,
-        plan: &EnginePlan,
-        frames: u64,
-        cfg: &EmulatorConfig,
-        bus_ticks: u64,
-        traced: bool,
-    ) {
+    fn reset(&mut self, plan: &EnginePlan, frames: u64, bus_ticks: u64, traced: bool) {
         self.queue.clear();
 
         if traced {
@@ -419,12 +414,11 @@ impl FastScratch {
         }
         self.seg_bus_ps.clear();
         self.seg_hop_wait_ps.clear();
-        let hop_wait_ticks = cfg.timing.wp_sample_ticks + cfg.timing.bu_sync_ticks;
         for clk in &plan.fast_seg {
             self.seg_bus_ps.push(bus_ticks * clk.period.d);
-            self.seg_hop_wait_ps.push(hop_wait_ticks * clk.period.d);
+            self.seg_hop_wait_ps.push(WP_SAMPLE_TICKS * clk.period.d);
         }
-        self.ca_req_ps = cfg.timing.ca_request_ticks * plan.fast_ca.period.d;
+        self.ca_req_ps = CA_REQUEST_TICKS * plan.fast_ca.period.d;
     }
 }
 
@@ -471,22 +465,22 @@ fn run_policy<'r, const TRACED: bool>(
     use ProducerRelease as R;
     match (cfg.arbitration, cfg.producer_release) {
         (A::Fifo, R::AfterDelivery) => {
-            run_mono::<FifoArb, RelDelivery, TRACED>(plan, sc, cfg, frames, sink, out)
+            run_mono::<FifoArb, RelDelivery, TRACED>(plan, sc, frames, sink, out)
         }
         (A::Fifo, R::AfterLocalPhase) => {
-            run_mono::<FifoArb, RelLocal, TRACED>(plan, sc, cfg, frames, sink, out)
+            run_mono::<FifoArb, RelLocal, TRACED>(plan, sc, frames, sink, out)
         }
         (A::FixedPriority, R::AfterDelivery) => {
-            run_mono::<PriorityArb, RelDelivery, TRACED>(plan, sc, cfg, frames, sink, out)
+            run_mono::<PriorityArb, RelDelivery, TRACED>(plan, sc, frames, sink, out)
         }
         (A::FixedPriority, R::AfterLocalPhase) => {
-            run_mono::<PriorityArb, RelLocal, TRACED>(plan, sc, cfg, frames, sink, out)
+            run_mono::<PriorityArb, RelLocal, TRACED>(plan, sc, frames, sink, out)
         }
         (A::FairRoundRobin, R::AfterDelivery) => {
-            run_mono::<FairArb, RelDelivery, TRACED>(plan, sc, cfg, frames, sink, out)
+            run_mono::<FairArb, RelDelivery, TRACED>(plan, sc, frames, sink, out)
         }
         (A::FairRoundRobin, R::AfterLocalPhase) => {
-            run_mono::<FairArb, RelLocal, TRACED>(plan, sc, cfg, frames, sink, out)
+            run_mono::<FairArb, RelLocal, TRACED>(plan, sc, frames, sink, out)
         }
     }
 }
@@ -494,21 +488,17 @@ fn run_policy<'r, const TRACED: bool>(
 fn run_mono<'r, A: Arbitration, R: Release, const TRACED: bool>(
     plan: &'r EnginePlan,
     sc: &'r mut FastScratch,
-    cfg: &EmulatorConfig,
     frames: u64,
     sink: Option<&'r mut dyn TraceSink>,
     out: &mut EmulationReport,
 ) {
-    let bus_ticks = cfg.timing.bus_transaction_ticks(plan.s);
-    sc.reset(plan, frames, cfg, bus_ticks, TRACED);
+    let bus_ticks = bus_transaction_ticks(plan.s);
+    sc.reset(plan, frames, bus_ticks, TRACED);
     FastRun::<A, R, TRACED> {
         plan,
         sc,
         frames,
         bus_ticks,
-        ca_request_ticks: cfg.timing.ca_request_ticks,
-        ca_grant_ticks: cfg.timing.ca_grant_ticks,
-        ca_release_ticks: cfg.timing.ca_release_ticks,
         sink,
         _policy: PhantomData,
     }
@@ -523,9 +513,6 @@ struct FastRun<'r, 'a, A, R, const TRACED: bool> {
     sc: &'r mut FastScratch,
     frames: u64,
     bus_ticks: u64,
-    ca_request_ticks: u64,
-    ca_grant_ticks: u64,
-    ca_release_ticks: u64,
     /// `Some` exactly when `TRACED`; the untraced instantiations never
     /// read it and the branch in [`Self::trace`] folds away.
     sink: Option<&'r mut dyn TraceSink>,
@@ -817,7 +804,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
 
     fn on_ca_arrive(&mut self, now: Picos, req: u32) {
         self.sc.ca.inter_requests += 1;
-        self.sc.ca.busy_ticks += self.ca_request_ticks;
+        self.sc.ca.busy_ticks += CA_REQUEST_TICKS;
         self.sc.ca_queue.push_back(req);
         self.request_ca_dispatch(now);
     }
@@ -852,7 +839,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
             0
         };
         self.sc.ca.grants += 1;
-        self.sc.ca.busy_ticks += self.ca_grant_ticks;
+        self.sc.ca.busy_ticks += CA_GRANT_TICKS;
         let path = &plan.paths[tr.path as usize];
 
         let mut prev_end = Picos::ZERO;
@@ -966,7 +953,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
         let seg = path.segs[hop as usize];
         self.sc.reserved[seg.index()] = false;
         self.sc.ca.releases += 1;
-        self.sc.ca.busy_ticks += self.ca_release_ticks;
+        self.sc.ca.busy_ticks += CA_RELEASE_TICKS;
         let src = plan.flow_src[tr.flow.index()];
         let last = hop as usize == path.segs.len() - 1;
         if R::AFTER_LOCAL_PHASE {
@@ -1270,14 +1257,6 @@ mod tests {
         }
     }
 
-    /// Detailed timing exercises the BU synchroniser arithmetic.
-    #[test]
-    fn fast_core_matches_under_detailed_timing() {
-        for psm in shapes() {
-            assert_identical(&psm, 2, EmulatorConfig::detailed(), "detailed");
-        }
-    }
-
     /// A reused engine cycling through shapes must not leak state.
     #[test]
     fn fast_scratch_reuse_is_bit_identical() {
@@ -1317,33 +1296,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// Traced detailed timing exercises the BU synchroniser trace sites.
-    /// The emission order is pinned by golden digests of the event
-    /// stream ([`TraceLog::digest`]), one `(application, events, digest)`
-    /// row per shape.
-    #[test]
-    fn traced_fast_core_matches_under_detailed_timing() {
-        const GOLDEN: [(&str, usize, u64); 5] = [
-            ("pair", 54, 0x618d_c4b4_e35b_07f9),
-            ("remote", 186, 0xeb25_1982_4b21_e5c1),
-            ("flood", 186, 0xa8ea_c2cc_0599_2e4c),
-            ("waves", 133, 0xe9ba_3b7c_c2f6_4085),
-            ("mp3-decoder", 2543, 0x1c0e_aef9_0e5e_352f),
-        ];
-        let cfg = EmulatorConfig {
-            trace: true,
-            ..EmulatorConfig::detailed()
-        };
-        let shapes = shapes();
-        assert_eq!(shapes.len(), GOLDEN.len(), "every shape has a golden row");
-        for (psm, (name, events, digest)) in shapes.iter().zip(GOLDEN) {
-            assert_eq!(psm.application().name(), name);
-            let trace = assert_same_trace(psm, 2, cfg, name);
-            assert_eq!(trace.len(), events, "{name}: event count");
-            assert_eq!(trace.digest(), digest, "{name}: emission order");
         }
     }
 

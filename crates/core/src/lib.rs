@@ -11,10 +11,11 @@
 //! The engine is a deterministic discrete-event simulation over a global
 //! picosecond timeline with independent clock domains per segment and for
 //! the central arbiter. The operational semantics are documented in
-//! `DESIGN.md` §4; the timing knobs live in [`TimingParams`], whose
-//! default is the paper's *estimator* (clock-domain synchronisation, grant
-//! latencies and master-response delays deliberately skipped — §3.6
-//! "Emulation and estimation").
+//! `DESIGN.md` §4. The engine has one timing, the paper's *estimator*: the
+//! protocol tick costs are constants in [`config`], and clock-domain
+//! synchronisation, grant latencies and master-response delays are
+//! deliberately skipped (§3.6 "Emulation and estimation"). The reference
+//! simulator `segbus-rtl` models those factors.
 //!
 //! Beyond the paper's single-shot run, the crate provides pipelined
 //! multi-frame execution ([`Emulator::run_frames`]), trace [`analysis`],
@@ -58,7 +59,7 @@ pub use analysis::{
     wave_durations, BuActivity, BusAnalysis, LatencyStats, SegmentActivity,
 };
 pub use cache::{job_digest, job_digest_from, BatchJob, CacheStats, CachedPool, ReportCache};
-pub use config::{ArbitrationPolicy, EmulatorConfig, ProducerRelease, TimingParams};
+pub use config::{ArbitrationPolicy, EmulatorConfig, ProducerRelease};
 pub use counters::{BuCounters, CaCounters, FuTimes, SaCounters};
 pub use energy::{estimate_energy, EnergyBreakdown, EnergyModel};
 pub use engine::{Emulator, Engine, EnginePlan, PlanDelta};

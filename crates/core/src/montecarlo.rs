@@ -270,7 +270,7 @@ pub fn run_monte_carlo(
         &keys,
         || (plan.clone(), None),
         |engine, (plan, own_engine), i| {
-            plan.try_set_flow_values(&values[i * nflow..(i + 1) * nflow], frames, &config)?;
+            plan.try_set_flow_values(&values[i * nflow..(i + 1) * nflow], frames)?;
             // A config other than the pool's gets one engine per worker.
             let engine = if *engine.config() == config {
                 engine

@@ -26,7 +26,10 @@ use segbus_model::mapping::Psm;
 use segbus_model::time::{ClockDomain, Picos};
 use segbus_model::SegbusError;
 
-use crate::config::{ArbitrationPolicy, EmulatorConfig, ProducerRelease};
+use crate::config::{
+    bus_transaction_ticks, ArbitrationPolicy, EmulatorConfig, ProducerRelease, CA_GRANT_TICKS,
+    CA_RELEASE_TICKS, CA_REQUEST_TICKS, WP_SAMPLE_TICKS,
+};
 use crate::counters::{BuCounters, CaCounters, FuTimes, SaCounters};
 use crate::report::EmulationReport;
 use crate::trace::{TraceEvent, TraceKind, TraceLog};
@@ -425,10 +428,7 @@ impl<'a> Sim<'a> {
                 path,
                 granted: false,
             });
-            let at = self.ca_clock.next_edge(now)
-                + self
-                    .ca_clock
-                    .ticks_to_picos(self.cfg.timing.ca_request_ticks);
+            let at = self.ca_clock.next_edge(now) + self.ca_clock.ticks_to_picos(CA_REQUEST_TICKS);
             self.schedule(at, Ev::CaArrive { req });
         }
     }
@@ -472,7 +472,7 @@ impl<'a> Sim<'a> {
         self.served[self.psm.application().flow(req.flow).src.index()] += 1;
         let clk = self.seg_clock[si];
         let start = clk.next_edge(now);
-        let ticks = self.cfg.timing.bus_transaction_ticks(self.s);
+        let ticks = bus_transaction_ticks(self.s);
         let end = start + clk.ticks_to_picos(ticks);
         self.bus_free[si] = end;
         self.sas[si].busy_ticks += ticks;
@@ -509,7 +509,7 @@ impl<'a> Sim<'a> {
     fn on_ca_arrive(&mut self, now: Picos, req: u32) {
         let _ = now;
         self.ca.inter_requests += 1;
-        self.ca.busy_ticks += self.cfg.timing.ca_request_ticks;
+        self.ca.busy_ticks += CA_REQUEST_TICKS;
         self.ca_queue.push_back(req);
         self.schedule(now, Ev::CaDispatch);
     }
@@ -543,9 +543,8 @@ impl<'a> Sim<'a> {
         debug_assert!(!tr.granted);
         self.transfers[req as usize].granted = true;
         self.ca.grants += 1;
-        self.ca.busy_ticks += self.cfg.timing.ca_grant_ticks;
-        let timing = self.cfg.timing;
-        let ticks = timing.bus_transaction_ticks(self.s);
+        self.ca.busy_ticks += CA_GRANT_TICKS;
+        let ticks = bus_transaction_ticks(self.s);
 
         let mut prev_end = Picos::ZERO;
         for (hop, &m) in tr.path.iter().enumerate() {
@@ -559,10 +558,9 @@ impl<'a> Sim<'a> {
             let start = if hop == 0 {
                 clk.next_edge(now).max(drain)
             } else {
-                // The downstream SA samples the loaded BU, plus (in
-                // detailed timing) the clock-domain synchroniser.
+                // The downstream SA samples the loaded BU.
                 let base = clk.next_edge(prev_end);
-                let wait = clk.ticks_to_picos(timing.wp_sample_ticks + timing.bu_sync_ticks);
+                let wait = clk.ticks_to_picos(WP_SAMPLE_TICKS);
                 let start = (base + wait).max(drain);
                 // Record the waiting period at the BU we are unloading.
                 let bu = self
@@ -681,7 +679,7 @@ impl<'a> Sim<'a> {
         // Cascade release: the CA resets this segment's grant.
         self.reserved[seg.index()] = false;
         self.ca.releases += 1;
-        self.ca.busy_ticks += self.cfg.timing.ca_release_ticks;
+        self.ca.busy_ticks += CA_RELEASE_TICKS;
         let f = *self.psm.application().flow(tr.flow);
         let last = hop as usize == tr.path.len() - 1;
         match self.cfg.producer_release {

@@ -245,7 +245,7 @@ fn patched_plan_matches_fresh_plan_and_rejected_patch_changes_nothing() {
         let mut plan = EnginePlan::try_new(&psm).unwrap();
         for seed in 0..4 {
             sample_flow_values(psm.application(), seed, &mut values);
-            plan.try_set_flow_values(&values, 1, &config).unwrap();
+            plan.try_set_flow_values(&values, 1).unwrap();
             let sampled = sample_psm(&psm, seed).unwrap();
             let fresh = engine.try_run_frames(&sampled, 1).unwrap();
             let patched = engine.run_plan(&plan, 1);
@@ -256,11 +256,9 @@ fn patched_plan_matches_fresh_plan_and_rejected_patch_changes_nothing() {
         let before = engine.run_plan(&plan, 1);
         let mut huge = values.clone();
         huge[0].items = u64::MAX;
-        let e = plan.try_set_flow_values(&huge, 1, &config).unwrap_err();
+        let e = plan.try_set_flow_values(&huge, 1).unwrap_err();
         assert_eq!(e.code, "C008", "{scenario}");
-        let e = plan
-            .try_set_flow_values(&values[1..], 1, &config)
-            .unwrap_err();
+        let e = plan.try_set_flow_values(&values[1..], 1).unwrap_err();
         assert_eq!(e.code, "C003", "{scenario}");
         let after = engine.run_plan(&plan, 1);
         assert_eq!(after.makespan, before.makespan, "{scenario}");

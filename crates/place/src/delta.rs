@@ -22,7 +22,7 @@
 //! Both are exact caches of the same deterministic cost functions the
 //! full-sweep [`PlaceTool::cost`] computes, which the tests below pin.
 
-use segbus_core::{EmulationReport, Engine, EnginePlan};
+use segbus_core::{EmulationReport, EmulatorConfig, Engine, EnginePlan};
 use segbus_model::digest::{digest_with_slots, Fnv64};
 use segbus_model::ids::{ProcessId, SegmentId};
 use segbus_model::mapping::{Allocation, Psm};
@@ -54,7 +54,7 @@ impl EvalBase {
             Ok(psm) => psm,
             Err(_) => return EvalBase { psm: None },
         };
-        if segbus_core::strict_validate(&psm, 1, &tool.emu_config).is_err() {
+        if segbus_core::strict_validate(&psm, 1, &EmulatorConfig::default()).is_err() {
             return EvalBase { psm: None };
         }
         EvalBase { psm: Some(psm) }
@@ -411,7 +411,7 @@ mod tests {
         let tool = PlaceTool::new(&app, SEGMENTS).with_makespan(&platform);
         let base = EvalBase::new(&tool);
         let mut patch = PatchState::new(&tool, &base);
-        let mut engine = Engine::new(tool.emu_config);
+        let mut engine = Engine::new(EmulatorConfig::default());
         let mut rng = SmallRng::seed_from_u64(0xB17);
         let mut slots: Vec<u16> = (0..n).map(|p| (p % SEGMENTS) as u16).collect();
         for step in 0..40 {
@@ -422,7 +422,7 @@ mod tests {
             let patched = patch.run(&mut engine);
             let fresh_psm =
                 Psm::new(platform.clone(), app.clone(), alloc).expect("walk stays feasible");
-            let fresh = Emulator::new(tool.emu_config).run(&fresh_psm);
+            let fresh = Emulator::new(EmulatorConfig::default()).run(&fresh_psm);
             assert_eq!(patched, fresh.makespan.0, "step {step}");
             assert_eq!(
                 format!("{:?}", patch.report()),

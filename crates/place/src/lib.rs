@@ -122,7 +122,6 @@ pub struct PlaceTool<'a> {
     topology: Topology,
     /// The concrete platform emulated by [`Objective::Makespan`].
     platform: Option<&'a Platform>,
-    emu_config: EmulatorConfig,
     /// Measured per-flow weights (indexed by flow position) overriding
     /// the model-declared traffic; see
     /// [`PlaceTool::with_measured_weights`].
@@ -149,7 +148,6 @@ impl<'a> PlaceTool<'a> {
             objective: Objective::Items,
             topology: Topology::Linear,
             platform: None,
-            emu_config: EmulatorConfig::default(),
             measured: None,
         }
     }
@@ -203,12 +201,6 @@ impl<'a> PlaceTool<'a> {
         );
         self.objective = Objective::Makespan;
         self.platform = Some(platform);
-        self
-    }
-
-    /// Emulator configuration for [`Objective::Makespan`] evaluations.
-    pub fn with_emulator_config(mut self, config: EmulatorConfig) -> Self {
-        self.emu_config = config;
         self
     }
 
@@ -271,7 +263,7 @@ impl<'a> PlaceTool<'a> {
     /// rejects empty segments.
     pub fn cost(&self, alloc: &Allocation) -> u64 {
         if self.objective == Objective::Makespan {
-            return self.emulate(&mut Engine::new(self.emu_config), alloc);
+            return self.emulate(&mut Engine::new(EmulatorConfig::default()), alloc);
         }
         self.hop_cost(alloc)
     }
@@ -508,7 +500,7 @@ impl<'a> PlaceTool<'a> {
     /// Run `f` on the calling thread against a one-thread instance of the
     /// portfolio's shared evaluation state.
     fn solo<R>(&self, f: impl FnOnce(&mut SharedEval<'_, '_, 'a>) -> R) -> R {
-        ParallelSearch::new(*self, 1).with_eval(&mut Engine::new(self.emu_config), f)
+        ParallelSearch::new(*self, 1).with_eval(&mut Engine::new(EmulatorConfig::default()), f)
     }
 
     fn refine_in(&self, eval: &mut SharedEval<'_, '_, '_>, start: Allocation) -> Placement {

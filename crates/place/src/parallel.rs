@@ -37,7 +37,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use segbus_core::{job_digest, job_digest_from, CacheStats, CachedPool, Engine, SweepPool};
+use segbus_core::{
+    job_digest, job_digest_from, CacheStats, CachedPool, EmulatorConfig, Engine, SweepPool,
+};
 use segbus_model::digest::{digest_with_slots, Fnv64};
 use segbus_model::mapping::{Allocation, Psm};
 
@@ -125,9 +127,9 @@ impl<'a> ParallelSearch<'a> {
     /// parallelism), with the default three annealing restarts.
     pub(crate) fn new(tool: PlaceTool<'a>, threads: usize) -> ParallelSearch<'a> {
         let pool = if threads == 0 {
-            SweepPool::new(tool.emu_config)
+            SweepPool::new(EmulatorConfig::default())
         } else {
-            SweepPool::with_threads(tool.emu_config, threads)
+            SweepPool::with_threads(EmulatorConfig::default(), threads)
         };
         ParallelSearch {
             tool,
@@ -138,7 +140,7 @@ impl<'a> ParallelSearch<'a> {
             // The cache's own pool is unused here (workers emulate on
             // their sweep engines); one thread keeps it inert.
             cache: Mutex::new(CachedPool::with_pool(
-                SweepPool::with_threads(tool.emu_config, 1),
+                SweepPool::with_threads(EmulatorConfig::default(), 1),
                 CACHE_CAPACITY,
             )),
             cache_tier: false,
@@ -332,7 +334,7 @@ impl<'a> ParallelSearch<'a> {
     /// cache lock only around the tier lookup and the write-back — never
     /// across the emulation itself.
     fn compute_patched(&self, engine: &mut Engine, patch: &mut PatchState<'_>) -> u64 {
-        let digest = job_digest_from(patch.psm_digest(), &self.tool.emu_config, 1);
+        let digest = job_digest_from(patch.psm_digest(), &EmulatorConfig::default(), 1);
         if self.cache_tier {
             if let Some(report) = self.cache.lock().unwrap().lookup(digest) {
                 return report.makespan.0;
@@ -364,7 +366,7 @@ impl<'a> ParallelSearch<'a> {
             Ok(psm) => psm,
             Err(_) => return u64::MAX,
         };
-        let digest = job_digest(&psm, &self.tool.emu_config, 1);
+        let digest = job_digest(&psm, &EmulatorConfig::default(), 1);
         if self.cache_tier {
             if let Some(report) = self.cache.lock().unwrap().lookup(digest) {
                 return report.makespan.0;

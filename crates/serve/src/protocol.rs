@@ -15,13 +15,13 @@
 //! Protocol-level failures use the `S0xx` code family, continuing the
 //! taxonomy of DESIGN.md §9: `S001` malformed request line (bad JSON),
 //! `S002` invalid request shape (unknown command, missing or ill-typed
-//! field), `S003` request line longer than the server's cap (the line is
-//! discarded, not buffered), `S004` `frames` out of range (zero, or above
-//! the server's `--max-frames` bound), `S005` load shed — the server
-//! refused or abandoned the request to protect itself (global in-flight
-//! cap reached, reorder buffer over its bound, or a worker fault
-//! abandoned the batch); the request was *not* executed and can be
-//! retried. Model-level failures pass the underlying `P/X/M/V/C` codes
+//! field, or the retired `detailed` override), `S003` request line longer
+//! than the server's cap (the line is discarded, not buffered), `S004`
+//! `frames` out of range (zero, or above the server's `--max-frames`
+//! bound), `S005` load shed — the server refused or abandoned the request
+//! to protect itself (global in-flight cap reached, reorder buffer over
+//! its bound, or a worker fault abandoned the batch); the request was
+//! *not* executed and can be retried. Model-level failures pass the underlying `P/X/M/V/C` codes
 //! through untouched, so a service client sees exactly the diagnostics
 //! the CLI would print.
 
@@ -204,11 +204,15 @@ pub fn decode_job(v: &Json, limits: &Limits) -> Result<BatchJob, SegbusError> {
 
 /// The [`EmulatorConfig`] overrides of an `emulate` request.
 fn decode_config(v: &Json) -> Result<EmulatorConfig, SegbusError> {
-    let mut config = if v.get("detailed").and_then(Json::as_bool).unwrap_or(false) {
-        EmulatorConfig::detailed()
-    } else {
-        EmulatorConfig::default()
-    };
+    // The estimator has one timing; a request asking for the detailed
+    // model must not be answered with it.
+    if v.get("detailed").is_some() {
+        return Err(shape_err(
+            "\"detailed\" is not accepted: the estimator has one timing; \
+             `segbus reference` runs the detailed model",
+        ));
+    }
+    let mut config = EmulatorConfig::default();
     if let Some(t) = v.get("trace").and_then(Json::as_bool) {
         config.trace = t;
     }
@@ -393,7 +397,7 @@ mod tests {
     #[test]
     fn overrides_reach_the_job() {
         let req = parse(&emulate_line(
-            r#", "frames": 3, "package_size": 18, "detailed": true, "trace": true, "arbitration": "fair_round_robin", "release": "after_local_phase""#,
+            r#", "frames": 3, "package_size": 18, "trace": true, "arbitration": "fair_round_robin", "release": "after_local_phase""#,
         ))
         .unwrap();
         match req {
@@ -406,7 +410,6 @@ mod tests {
                     job.config.producer_release,
                     ProducerRelease::AfterLocalPhase
                 );
-                assert_eq!(job.config.timing, segbus_core::TimingParams::detailed());
             }
             other => panic!("wrong request: {other:?}"),
         }
@@ -427,6 +430,13 @@ mod tests {
         let (_, e) =
             parse(r#"{"id": 1, "cmd": "emulate", "source": "application a { }"}"#).unwrap_err();
         assert_eq!(e.code, "P004");
+        // The retired detailed timing is refused, never answered with
+        // estimator timing, whatever its value.
+        for v in ["true", "false"] {
+            let (id, e) = parse(&emulate_line(&format!(r#", "detailed": {v}"#))).unwrap_err();
+            assert_eq!((id, e.code), (5, "S002"));
+            assert!(e.message.contains("segbus reference"), "{}", e.message);
+        }
     }
 
     #[test]

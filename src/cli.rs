@@ -5,7 +5,7 @@
 //! ```text
 //! segbus validate  <model.sbd>              check DSL + structural constraints
 //! segbus matrix    <model.sbd>              print the communication matrix
-//! segbus emulate   <model.sbd> [--trace] [--package-size N] [--detailed]
+//! segbus emulate   <model.sbd> [--trace] [--package-size N] [--frames N]
 //! segbus reference <model.sbd>              run the cycle-accurate reference
 //! segbus accuracy  <model.sbd>              estimated vs actual
 //! segbus export    <model.sbd> <out-dir>    M2T: write psdf.xml + psm.xml
@@ -90,7 +90,7 @@ USAGE:
 COMMANDS:
     validate  <model.sbd>                 parse and run the structural constraints
     matrix    <model.sbd>                 print the communication matrix (Fig. 8 style)
-    emulate   <model.sbd> [--trace] [--package-size N] [--detailed] [--frames N]
+    emulate   <model.sbd> [--trace] [--package-size N] [--frames N]
               [--trace-out FILE.sbt]
                                           run the performance estimator
                                           (--trace-out streams the event trace
@@ -115,7 +115,7 @@ COMMANDS:
                                           portfolio rounds (default 1)
     sweep     <model.sbd> --sizes 18,36,72
                                           emulate at several package sizes
-    batch     <paths...> [--package-size N] [--frames N] [--detailed] [--trace]
+    batch     <paths...> [--package-size N] [--frames N] [--trace]
               [--threads N] [--cache N] [--cache-dir DIR]
                                           emulate many models (files or directories
                                           of .sbd) through the report cache;
@@ -181,7 +181,7 @@ fn precheck(psm: &Psm, frames: u64, path: &str) -> Result<(), CliError> {
 
 /// Flags that take no value, so a following positional is never
 /// swallowed. Every other flag takes a value.
-const BOOL_FLAGS: &[&str] = &["trace", "detailed", "check", "write"];
+const BOOL_FLAGS: &[&str] = &["trace", "check", "write"];
 
 /// Parsed `--key [value]` options.
 type Opts<'a> = Vec<(&'a str, Option<&'a str>)>;
@@ -301,20 +301,14 @@ fn cmd_matrix(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_emulate(args: &[String]) -> Result<String, CliError> {
-    let (pos, opts) = split_opts(
-        args,
-        &["package-size", "trace", "detailed", "frames", "trace-out"],
-    )?;
+    let (pos, opts) = split_opts(args, &["package-size", "trace", "frames", "trace-out"])?;
     let [path] = pos.as_slice() else {
-        return Err(fail("usage: segbus emulate <model.sbd> [--trace] [--package-size N] [--detailed] [--frames N] [--trace-out FILE.sbt]"));
+        return Err(fail("usage: segbus emulate <model.sbd> [--trace] [--package-size N] [--frames N] [--trace-out FILE.sbt]"));
     };
     let psm = apply_package_size(load_psm(path)?, &opts)?;
     let mut config = EmulatorConfig::default();
     if opt(&opts, "trace").is_some() {
         config.trace = true;
-    }
-    if opt(&opts, "detailed").is_some() {
-        config.timing = segbus_core::TimingParams::detailed();
     }
     let frames = opt_u32(&opts, "frames")?.unwrap_or(1) as u64;
     if frames == 0 {
@@ -607,11 +601,21 @@ fn cmd_place(args: &[String]) -> Result<String, CliError> {
             st.evaluations, st.memo_hits, st.cache.disk_hits, st.plan_patches, st.emulations
         );
     }
-    let _ = writeln!(
-        out,
-        "portfolio: {} round(s), {} cross-pollination(s)",
-        stats.rounds, stats.cross_pollinations
-    );
+    if stats.rounds == 0 {
+        // Small hop-objective instances are answered exactly before any
+        // portfolio round runs.
+        let _ = writeln!(
+            out,
+            "portfolio: exhaustive search over {segments}^{} assignment(s), no rounds",
+            app.process_count()
+        );
+    } else {
+        let _ = writeln!(
+            out,
+            "portfolio: {} round(s), {} cross-pollination(s)",
+            stats.rounds, stats.cross_pollinations
+        );
+    }
     Ok(out)
 }
 
@@ -713,7 +717,6 @@ fn cmd_batch(args: &[String]) -> Result<String, CliError> {
         &[
             "package-size",
             "frames",
-            "detailed",
             "trace",
             "threads",
             "cache",
@@ -722,16 +725,13 @@ fn cmd_batch(args: &[String]) -> Result<String, CliError> {
     )?;
     if pos.is_empty() {
         return Err(fail(
-            "usage: segbus batch <paths...> [--package-size N] [--frames N] [--detailed] [--trace] [--threads N] [--cache N] [--cache-dir DIR]",
+            "usage: segbus batch <paths...> [--package-size N] [--frames N] [--trace] [--threads N] [--cache N] [--cache-dir DIR]",
         ));
     }
     let files = gather_models(&pos)?;
     let mut config = EmulatorConfig::default();
     if opt(&opts, "trace").is_some() {
         config.trace = true;
-    }
-    if opt(&opts, "detailed").is_some() {
-        config.timing = segbus_core::TimingParams::detailed();
     }
     let frames = opt_u32(&opts, "frames")?.unwrap_or(1) as u64;
     if frames == 0 {
@@ -1393,8 +1393,8 @@ mod tests {
         let f = demo_file(&dir);
         let out = run(&args(&["emulate", "--trace", &f])).unwrap();
         assert!(out.contains("trace:"), "{out}");
-        let out = run(&args(&["emulate", "--detailed", &f])).unwrap();
-        assert!(out.contains("Execution time"), "{out}");
+        let out = run(&args(&["batch", "--trace", &f])).unwrap();
+        assert!(out.contains("batch: 1 model(s)"), "{out}");
     }
 
     #[test]
@@ -1611,6 +1611,28 @@ mod tests {
         }
     }
 
+    /// A small hop-objective instance is solved exhaustively before any
+    /// portfolio round, and the output says so instead of reporting a
+    /// portfolio that never ran.
+    #[test]
+    fn place_names_the_exhaustive_search() {
+        let f = concat!(env!("CARGO_MANIFEST_DIR"), "/models/ring_hub.sbd");
+        let out = run(&args(&[
+            "place",
+            f,
+            "--segments",
+            "3",
+            "--objective",
+            "items",
+        ]))
+        .unwrap();
+        assert!(
+            out.contains("portfolio: exhaustive search over 3^5 assignment(s), no rounds"),
+            "{out}"
+        );
+        assert!(!out.contains("round(s)"), "{out}");
+    }
+
     #[test]
     fn cache_gc_compacts_a_store() {
         let dir = tmpdir("gc");
@@ -1727,6 +1749,10 @@ mod tests {
         // A flag another subcommand accepts is still unknown here.
         for (argv, flag) in [
             (vec!["reference", &f, "--detailed"], "--detailed"),
+            // The estimator has one timing: the detailed model is
+            // `segbus reference`.
+            (vec!["emulate", &f, "--detailed"], "--detailed"),
+            (vec!["batch", &f, "--detailed"], "--detailed"),
             (vec!["emulate", &f, "--threads", "4"], "--threads"),
             (vec!["validate", &f, "--frames", "2"], "--frames"),
             (vec!["corpus", "gen", "--write"], "--write"),
