@@ -3,7 +3,7 @@
 //! Jobs arriving from any number of threads funnel into one mpsc channel.
 //! A single batcher thread blocks for the first job, then drains whatever
 //! else has queued up behind it and runs the whole set as one
-//! [`CachedPool::run_batch`] — so concurrently arriving jobs coalesce into
+//! [`CachedPool::run_batch_keyed`] — so concurrently arriving jobs coalesce into
 //! sweep batches and share both the worker pool and the report cache,
 //! while a lone job still starts immediately (no batching delay window).
 
@@ -192,8 +192,10 @@ fn batcher(
             msgs.into_iter().map(|(job, reply)| (*job, reply)).unzip();
         batches += 1;
         total_jobs += jobs.len() as u64;
-        let cached: Vec<bool> = jobs.iter().map(|j| pool.is_cached(j)).collect();
-        let digests: Vec<u64> = jobs.iter().map(|j| j.digest()).collect();
+        // One digest per job: the same keys answer `cached`, run the
+        // batch and go back to the client.
+        let digests: Vec<u64> = jobs.iter().map(BatchJob::digest).collect();
+        let cached: Vec<bool> = digests.iter().map(|&key| pool.contains(key)).collect();
         // A panicking worker must not kill the batcher (every connected
         // client would lose its service): contain it, shed the batch with
         // S005 — the jobs were not executed and are safe to retry.
@@ -203,7 +205,7 @@ fn batcher(
                     panic!("injected worker fault (fault_frames = {ff})");
                 }
             }
-            pool.run_batch(&jobs)
+            pool.run_batch_keyed(&jobs, &digests)
         }));
         {
             let mut s = lock_recover(&published);

@@ -115,8 +115,8 @@ COMMANDS:
                                           portfolio rounds (default 1)
     sweep     <model.sbd> --sizes 18,36,72
                                           emulate at several package sizes
-    batch     <paths...> [--package-size N] [--frames N] [--trace]
-              [--threads N] [--cache N] [--cache-dir DIR]
+    batch     <paths...> [--package-size N] [--frames N] [--threads N]
+              [--cache N] [--cache-dir DIR]
                                           emulate many models (files or directories
                                           of .sbd) through the report cache;
                                           --cache-dir persists reports across runs
@@ -714,25 +714,15 @@ fn gather_models(paths: &[&str]) -> Result<Vec<String>, CliError> {
 fn cmd_batch(args: &[String]) -> Result<String, CliError> {
     let (pos, opts) = split_opts(
         args,
-        &[
-            "package-size",
-            "frames",
-            "trace",
-            "threads",
-            "cache",
-            "cache-dir",
-        ],
+        &["package-size", "frames", "threads", "cache", "cache-dir"],
     )?;
     if pos.is_empty() {
         return Err(fail(
-            "usage: segbus batch <paths...> [--package-size N] [--frames N] [--trace] [--threads N] [--cache N] [--cache-dir DIR]",
+            "usage: segbus batch <paths...> [--package-size N] [--frames N] [--threads N] [--cache N] [--cache-dir DIR]",
         ));
     }
     let files = gather_models(&pos)?;
-    let mut config = EmulatorConfig::default();
-    if opt(&opts, "trace").is_some() {
-        config.trace = true;
-    }
+    let config = EmulatorConfig::default();
     let frames = opt_u32(&opts, "frames")?.unwrap_or(1) as u64;
     if frames == 0 {
         return Err(fail("--frames must be at least 1"));
@@ -761,12 +751,13 @@ fn cmd_batch(args: &[String]) -> Result<String, CliError> {
     }
     // "cached" below means answered without emulation: resident before the
     // batch, or a duplicate of an earlier job in the same batch.
+    let keys: Vec<u64> = jobs.iter().map(BatchJob::digest).collect();
     let mut seen = std::collections::HashSet::new();
-    let reused: Vec<bool> = jobs
+    let reused: Vec<bool> = keys
         .iter()
-        .map(|j| pool.is_cached(j) | !seen.insert(j.digest()))
+        .map(|&key| pool.contains(key) | !seen.insert(key))
         .collect();
-    let results = pool.run_batch(&jobs);
+    let results = pool.run_batch_keyed(&jobs, &keys);
     let mut out = String::new();
     let mut failures = 0usize;
     for ((path, result), was_reused) in files.iter().zip(results).zip(reused) {
@@ -1393,8 +1384,6 @@ mod tests {
         let f = demo_file(&dir);
         let out = run(&args(&["emulate", "--trace", &f])).unwrap();
         assert!(out.contains("trace:"), "{out}");
-        let out = run(&args(&["batch", "--trace", &f])).unwrap();
-        assert!(out.contains("batch: 1 model(s)"), "{out}");
     }
 
     #[test]
@@ -1753,6 +1742,8 @@ mod tests {
             // `segbus reference`.
             (vec!["emulate", &f, "--detailed"], "--detailed"),
             (vec!["batch", &f, "--detailed"], "--detailed"),
+            // A batch prints reports only, so it records no trace.
+            (vec!["batch", &f, "--trace"], "--trace"),
             (vec!["emulate", &f, "--threads", "4"], "--threads"),
             (vec!["validate", &f, "--frames", "2"], "--frames"),
             (vec!["corpus", "gen", "--write"], "--write"),
