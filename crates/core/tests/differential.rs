@@ -146,6 +146,26 @@ fn corpus_scenarios_match_the_reference() {
     assert_matches_reference(&psms, &[1, 3]);
 }
 
+/// The grids are the corpus family whose CA queue runs deep: at 16 frames
+/// and s ∈ {36, 72} it holds 30–52 requests at once under FIFO, against
+/// at most 3 in every other family and at 1 or 3 frames. First-fit order
+/// over a long, mostly blocked queue is checked here.
+#[test]
+fn grid_scenarios_with_a_deep_ca_queue_match_the_reference() {
+    let mut psms = Vec::new();
+    for (name, psm) in corpus() {
+        if !name.starts_with("grid/") {
+            continue;
+        }
+        for s in [36u32, 72] {
+            let sized = psm.with_package_size(s).expect("corpus package size");
+            psms.push((format!("{name} s{s}"), sized));
+        }
+    }
+    assert_eq!(psms.len(), 4, "two grid scenarios at two sizes");
+    assert_matches_reference(&psms, &[16]);
+}
+
 /// Deeper streaming runs exercise frame pipelining.
 #[test]
 fn streaming_runs_match_the_reference() {
