@@ -104,8 +104,8 @@ impl Emulator {
 pub(crate) const NO_PATH: u32 = u32::MAX;
 
 /// Compile (or fetch from the `path_of` memo) the route from segment `a`
-/// to segment `b`: the segment chain plus per-hop border-unit index and
-/// crossing direction. Returns [`NO_PATH`] for `a == b`. Shared by plan
+/// to segment `b`: the segment chain, its segment set as a bitset, and
+/// the per-hop border-unit index and crossing direction. Returns [`NO_PATH`] for `a == b`. Shared by plan
 /// compilation and [`EnginePlan::try_remap`], which extends the same
 /// route table incrementally as moves expose new segment pairs.
 fn compile_route(
@@ -145,9 +145,14 @@ fn compile_route(
             load_left.push(w[0] == r.left);
             unload_right.push(w[1] == r.right);
         }
+        let mut mask = vec![0u64; nseg.div_ceil(64)];
+        for m in &segs {
+            mask[m.index() / 64] |= 1 << (m.index() % 64);
+        }
         path_of[key] = paths.len() as u32;
         paths.push(PathInfo {
             segs,
+            mask,
             bu,
             load_left,
             unload_right,
@@ -161,6 +166,11 @@ fn compile_route(
 pub(crate) struct PathInfo {
     /// Segments on the path, source first, destination last.
     pub(crate) segs: Vec<SegmentId>,
+    /// The same segments as a bitset: bit `m % 64` of word `m / 64` is
+    /// set for each segment `m` on the path, and there are
+    /// `nseg.div_ceil(64)` words. The CA checks a path against its
+    /// reservations with one `AND` per word.
+    pub(crate) mask: Vec<u64>,
     /// `bu[h]` is the dense index of the BU between `segs[h]` and
     /// `segs[h+1]`.
     pub(crate) bu: Vec<u32>,
@@ -373,7 +383,7 @@ impl<'a> EnginePlan<'a> {
         }
 
         // Compile each distinct (source segment, destination segment) route
-        // once: segments plus per-hop BU index and crossing direction.
+        // once: segments, segment bitset, per-hop BU index and direction.
         let mut paths: Vec<PathInfo> = Vec::new();
         let mut path_of = vec![NO_PATH; nseg * nseg];
         let flow_path: Vec<u32> = (0..nflow)
