@@ -23,4 +23,7 @@ cargo test --release -q --test fuzz_differential -- --ignored
 echo "== reference-simulator regressions (release, ignored) =="
 cargo test --release -q -p segbus-rtl -- --ignored
 
+echo "== placement grid goldens (release, ignored) =="
+cargo test --release -q -p segbus-place -- --ignored
+
 echo "verify: OK"
