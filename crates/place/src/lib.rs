@@ -562,16 +562,7 @@ impl<'a> PlaceTool<'a> {
     /// Seeded simulated annealing over moves and swaps, starting from the
     /// greedy placement. Deterministic for a given seed.
     pub fn anneal(&self, seed: u64, iterations: usize) -> Placement {
-        self.solo(|eval| self.anneal_in(eval, seed, iterations))
-    }
-
-    fn anneal_in(
-        &self,
-        eval: &mut SharedEval<'_, '_, '_>,
-        seed: u64,
-        iterations: usize,
-    ) -> Placement {
-        self.anneal_from(eval, self.greedy_allocation(), seed, iterations)
+        self.solo(|eval| self.anneal_from(eval, self.greedy_allocation(), seed, iterations))
     }
 
     /// Annealing from an explicit feasible start (the portfolio search

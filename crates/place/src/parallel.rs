@@ -66,7 +66,10 @@ pub fn allocation_digest(slots: &[u16]) -> u64 {
 /// Counters of one `ParallelSearch` (cumulative across runs).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchStats {
-    /// Makespan evaluations requested by the solvers.
+    /// Makespan evaluations requested by the solvers. The portfolio
+    /// refines each distinct start once per search, so a family whose
+    /// start was already refined asks for nothing: this counts the
+    /// candidates of the refines that ran, not of one refine per family.
     pub evaluations: u64,
     /// Evaluations answered by the shared allocation-digest memo.
     pub memo_hits: u64,

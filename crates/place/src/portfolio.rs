@@ -23,16 +23,32 @@
 //!   incumbent's cost, and always after [`Portfolio::with_rounds`]
 //!   rounds or past the optional wall-clock budget.
 //!
+//! **Two barriers per round.** A round first fans out the *starts* —
+//! the greedy and Kernighan–Lin allocations and every annealing chain —
+//! and then *refines* each distinct start once, handing every family
+//! the refined placement of its own start. Annealing often returns its
+//! start unchanged (the greedy allocation in round 0, the incumbent
+//! later), and two families refining one start would ask for the same
+//! candidates in the same order: the second would only wait on the
+//! memo's in-flight marker for each. A per-search map from start slots
+//! to refined placement skips that replay. Refine is a pure function of
+//! its start, and a refined placement is its own fixed point (its last
+//! pass found no improving step), so every refined placement is also
+//! recorded as its own start: a later chain that returns the incumbent
+//! refines nothing.
+//!
 //! **Determinism.** Results are bit-identical for any thread count: every
 //! chain is seeded by `(seed, family, round)` alone, the shared memo is a
-//! pure cache of the deterministic cost function, and every decision that
-//! shapes the search — staleness, restart points, the stop rule — reads
-//! only the *round-merged* state at a barrier, never the live atomic
-//! incumbent (which workers update mid-round purely for observability).
-//! The wall-clock budget is likewise only consulted at round boundaries,
-//! so it can truncate the round sequence but never change the result of
-//! the rounds that did run. The full argument lives in DESIGN.md §11.
+//! pure cache of the deterministic cost function, refine's scan order is
+//! fixed, and every decision that shapes the search — staleness, restart
+//! points, the stop rule — reads only the *round-merged* state at a
+//! barrier. Skipping a repeated refine therefore changes no result, only
+//! the evaluation count. The wall-clock budget is likewise only
+//! consulted at round boundaries, so it can truncate the round sequence
+//! but never change the result of the rounds that did run. The full
+//! argument lives in DESIGN.md §11.
 
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,30 +90,21 @@ pub struct Portfolio<'a> {
     search: ParallelSearch<'a>,
     rounds: usize,
     time_budget: Option<Duration>,
-    /// Live lowest cost seen by any worker (observability only — round
-    /// decisions read the merged state, see the module docs).
-    incumbent_cost: AtomicU64,
     rounds_run: AtomicU64,
     cross_pollinations: AtomicU64,
 }
 
-/// One family's round-0 start.
-#[derive(Clone, Copy, Debug)]
-enum Task {
-    /// Greedy constructive start, then refine.
-    Greedy,
-    /// Kernighan–Lin bipartition start, then refine.
-    Kl,
-    /// A seeded annealing chain, then refine.
-    Anneal(u64),
+/// One family's start in a round: an allocation, annealed by a chain
+/// with `seed` first unless `seed` is `None` (round 0's greedy and
+/// Kernighan–Lin starts are refined as they are).
+struct Start {
+    slots: Vec<u16>,
+    seed: Option<u64>,
 }
 
-/// One family's continuation in a round `r ≥ 1`: a seeded annealing
-/// chain + refine from an explicit start.
-struct Chain {
-    start: Vec<u16>,
-    seed: u64,
-}
+/// Refined placements of one search as `(cost, slots)`, keyed by the
+/// slots of every start refined so far and of every refined placement.
+type Refined = HashMap<Vec<u16>, (u64, Vec<u16>)>;
 
 /// The seed of family `family`'s chain in round `round`; depends on
 /// nothing else, so trajectories are thread-count independent.
@@ -118,7 +125,6 @@ impl<'a> Portfolio<'a> {
             search: ParallelSearch::new(tool, threads),
             rounds: Self::DEFAULT_ROUNDS,
             time_budget: None,
-            incumbent_cost: AtomicU64::new(u64::MAX),
             rounds_run: AtomicU64::new(0),
             cross_pollinations: AtomicU64::new(0),
         }
@@ -202,34 +208,28 @@ impl<'a> Portfolio<'a> {
             }
         }
         let started = Instant::now();
-        let iterations = tool.best_iterations();
+        let mut refined = Refined::new();
 
         // The family roster, in fixed order.
-        let mut families = vec![Task::Greedy];
+        let greedy = tool.slots(&tool.greedy_allocation());
+        let mut starts = vec![Start {
+            slots: greedy.clone(),
+            seed: None,
+        }];
         if tool.kl_applicable() {
-            families.push(Task::Kl);
+            starts.push(Start {
+                slots: tool.slots(&tool.kl_allocation()),
+                seed: None,
+            });
         }
         for r in 0..self.search.restarts as u64 {
-            families.push(Task::Anneal(seed.wrapping_add(r.wrapping_mul(0x9e37_79b9))));
-        }
-        let results = self.search.pool.sweep_with(&families, |engine, task| {
-            let p = self.search.with_eval(engine, |eval| match *task {
-                Task::Greedy => tool.refine_in(eval, tool.greedy_allocation()),
-                Task::Kl => tool.refine_in(eval, tool.kl_allocation()),
-                Task::Anneal(s) => {
-                    let a = tool.anneal_in(eval, s, iterations);
-                    tool.refine_in(eval, a.allocation)
-                }
+            starts.push(Start {
+                slots: greedy.clone(),
+                seed: Some(seed.wrapping_add(r.wrapping_mul(0x9e37_79b9))),
             });
-            self.incumbent_cost.fetch_min(p.cost, Ordering::Relaxed);
-            p
-        });
-
+        }
         // Per-family best-so-far, and the round-merged global incumbent.
-        let mut family_state: Vec<(u64, Vec<u16>)> = results
-            .into_iter()
-            .map(|p| (p.cost, tool.slots(&p.allocation)))
-            .collect();
+        let mut family_state = self.round(&starts, &mut refined);
         let mut incumbent: Option<(u64, Vec<u16>)> = None;
         for st in &family_state {
             if better(st, &incumbent) {
@@ -247,7 +247,7 @@ impl<'a> Portfolio<'a> {
             {
                 break;
             }
-            let chains: Vec<Chain> = family_state
+            let starts: Vec<Start> = family_state
                 .iter()
                 .enumerate()
                 .map(|(i, st)| {
@@ -255,30 +255,21 @@ impl<'a> Portfolio<'a> {
                     if stale {
                         cross += 1;
                     }
-                    Chain {
-                        start: if stale {
+                    Start {
+                        slots: if stale {
                             incumbent.1.clone()
                         } else {
                             st.1.clone()
                         },
-                        seed: chain_seed(seed, i as u64, round as u64),
+                        seed: Some(chain_seed(seed, i as u64, round as u64)),
                     }
                 })
                 .collect();
-            let results = self.search.pool.sweep_with(&chains, |engine, chain| {
-                let p = self.search.with_eval(engine, |eval| {
-                    let start = tool.allocation_of(&chain.start);
-                    let a = tool.anneal_from(eval, start, chain.seed, iterations);
-                    tool.refine_in(eval, a.allocation)
-                });
-                self.incumbent_cost.fetch_min(p.cost, Ordering::Relaxed);
-                p
-            });
+            let results = self.round(&starts, &mut refined);
             // Deterministic merge at the barrier: each family keeps its
             // best-so-far, then the incumbent is re-folded in family
             // order under the canonical total order.
-            for (i, p) in results.into_iter().enumerate() {
-                let cand = (p.cost, tool.slots(&p.allocation));
+            for (i, cand) in results.into_iter().enumerate() {
                 if better(&cand, &Some(family_state[i].clone())) {
                     family_state[i] = cand;
                 }
@@ -303,5 +294,102 @@ impl<'a> Portfolio<'a> {
             allocation: tool.allocation_of(&slots),
             cost,
         })
+    }
+
+    /// One round's two barriers over the pool: anneal every start that
+    /// carries a seed, then refine each distinct start that `refined`
+    /// does not hold yet. Returns each family's refined `(cost, slots)`,
+    /// in start order.
+    fn round(&self, starts: &[Start], refined: &mut Refined) -> Vec<(u64, Vec<u16>)> {
+        let tool = &self.search.tool;
+        let iterations = tool.best_iterations();
+        let annealed = self
+            .search
+            .pool
+            .sweep_with(starts, |engine, start| match start.seed {
+                None => start.slots.clone(),
+                Some(seed) => self.search.with_eval(engine, |eval| {
+                    let from = tool.allocation_of(&start.slots);
+                    tool.slots(&tool.anneal_from(eval, from, seed, iterations).allocation)
+                }),
+            });
+        let mut fresh: Vec<&Vec<u16>> = Vec::new();
+        for slots in &annealed {
+            if !refined.contains_key(slots) && !fresh.contains(&slots) {
+                fresh.push(slots);
+            }
+        }
+        let results = self.search.pool.sweep_with(&fresh, |engine, slots| {
+            let p = self.search.with_eval(engine, |eval| {
+                tool.refine_in(eval, tool.allocation_of(slots))
+            });
+            (p.cost, tool.slots(&p.allocation))
+        });
+        for (start, st) in fresh.into_iter().zip(results) {
+            // A refined placement is a fixed point of refine.
+            refined.insert(st.1.clone(), st.clone());
+            refined.insert(start.clone(), st);
+        }
+        annealed
+            .iter()
+            .map(|slots| refined[slots].clone())
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use segbus_apps::generators::{
+        chain, diamond, random_layered, round_robin_allocation, uniform_platform, GeneratorConfig,
+    };
+    use segbus_core::{EmulatorConfig, Engine};
+
+    use crate::parallel::ParallelSearch;
+    use crate::{Objective, PlaceTool};
+
+    /// The rule the rounds' refine map rests on: refine returns a
+    /// refined placement unchanged at the same cost, and asks only for
+    /// candidates the first refine already evaluated, so it emulates
+    /// nothing.
+    #[test]
+    fn refining_a_refined_placement_returns_it_and_emulates_nothing() {
+        let cfg = GeneratorConfig::default();
+        let apps = [
+            chain(7, cfg),
+            diamond(3, cfg),
+            random_layered(3, 3, 5, cfg),
+            random_layered(4, 2, 11, cfg),
+        ];
+        let platform = uniform_platform(3, 18);
+        for app in &apps {
+            for objective in [
+                Objective::Makespan,
+                Objective::Items,
+                Objective::Packages(9),
+            ] {
+                let tool = PlaceTool::new(app, 3);
+                let tool = match objective {
+                    Objective::Makespan => tool.with_makespan(&platform),
+                    o => tool.with_objective(o),
+                };
+                let search = ParallelSearch::new(tool, 1);
+                let mut engine = Engine::new(EmulatorConfig::default());
+                search.with_eval(&mut engine, |eval| {
+                    let once = tool.refine_in(eval, round_robin_allocation(app, 3));
+                    let emulated = search.stats().emulations;
+                    let twice = tool.refine_in(eval, once.allocation.clone());
+                    let what = format!("{} under {objective:?}", app.name());
+                    assert_eq!(twice, once, "{what}: refine moved a refined placement");
+                    assert_eq!(
+                        search.stats().emulations,
+                        emulated,
+                        "{what}: the second refine emulated"
+                    );
+                    if objective == Objective::Makespan {
+                        assert!(emulated > 0, "{what}: the first refine emulated nothing");
+                    }
+                });
+            }
+        }
     }
 }
