@@ -275,22 +275,21 @@ impl Parser<'_> {
 /// Append `s` to `out` as a JSON string literal.
 ///
 /// Every character that needs an escape is ASCII, so the text between
-/// two of them is copied as one run.
+/// two of them is copied as one run; `next_escape` finds the end of
+/// each run eight bytes at a time.
 pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    let bytes = s.as_bytes();
     let mut start = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
+    while let Some(i) = next_escape(bytes, start) {
         out.push_str(&s[start..i]);
-        match b {
+        match bytes[i] {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
-            _ => {
+            b => {
                 let _ = write!(out, "\\u{b:04x}");
             }
         }
@@ -298,6 +297,39 @@ pub fn write_str(out: &mut String, s: &str) {
     }
     out.push_str(&s[start..]);
     out.push('"');
+}
+
+/// The index of the first byte at or after `from` that a JSON string
+/// must escape: a control byte (`< 0x20`), `"` or `\`.
+///
+/// Scans a word of eight bytes at a time. Per byte lane, `x − 0x20`
+/// borrows into the high bit only when `x < 0x20`, and `!x` keeps it
+/// only when `x < 0x80`; `"` and `\` are found as zero lanes of `x`
+/// xor a splat of that byte, with the same test against 1. A borrow
+/// carries only into higher lanes, so the lowest flagged lane is
+/// exact, and it is the one taken. Multi-byte UTF-8 bytes are all
+/// `≥ 0x80` and are never flagged.
+fn next_escape(bytes: &[u8], from: usize) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    let mut i = from;
+    while let Some(word) = bytes[i..].first_chunk::<8>() {
+        let x = u64::from_le_bytes(*word);
+        let quote = x ^ (ONES * u64::from(b'"'));
+        let backslash = x ^ (ONES * u64::from(b'\\'));
+        let flagged = (x.wrapping_sub(ONES * 0x20) & !x
+            | quote.wrapping_sub(ONES) & !quote
+            | backslash.wrapping_sub(ONES) & !backslash)
+            & HIGH;
+        if flagged != 0 {
+            return Some(i + flagged.trailing_zeros() as usize / 8);
+        }
+        i += 8;
+    }
+    bytes[i..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+        .map(|k| i + k)
 }
 
 /// An incremental JSON-object writer (field order = call order).
@@ -488,6 +520,31 @@ mod tests {
             assert_eq!(parse(&runs).unwrap().as_str(), Some(s.as_str()));
             let escaped = literal_with_u_escapes(&s, &mut rng);
             assert_eq!(parse(&escaped).unwrap().as_str(), Some(s.as_str()));
+        }
+    }
+
+    /// The word scan against the per-character encoder: every byte that
+    /// needs an escape, and every 2- to 4-byte UTF-8 character, at every
+    /// offset mod 8, in the word part and in the byte tail.
+    #[test]
+    fn every_escape_at_every_offset_matches_the_per_char_encoder() {
+        let specials = (0u8..0x20).map(char::from).chain(['"', '\\']);
+        for special in specials {
+            for wide in ["", "é", "€", "😀", "\u{7f}"] {
+                for lead in 0..17 {
+                    for tail in [0, 1, 7, 8, 9, 16] {
+                        let s = format!(
+                            "{}{wide}{special}{}{special}{wide}",
+                            "x".repeat(lead),
+                            "y".repeat(tail)
+                        );
+                        let (mut words, mut per_char) = (String::new(), String::new());
+                        write_str(&mut words, &s);
+                        write_str_per_char(&mut per_char, &s);
+                        assert_eq!(words, per_char, "{s:?}");
+                    }
+                }
+            }
         }
     }
 
