@@ -276,7 +276,7 @@ mod tests {
             mp3::three_segment_p9_moved_psm(),
         ] {
             let sched = SystemSchedule::derive(&psm);
-            let report = segbus_core::Emulator::default().run(&psm);
+            let report = segbus_core::Engine::default().try_run(&psm).unwrap();
             for i in 0..sched.segment_count() {
                 let seg = SegmentId(i as u16);
                 assert_eq!(

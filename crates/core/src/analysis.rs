@@ -331,7 +331,7 @@ fn traced(report: &EmulationReport) -> &TraceLog {
 mod tests {
     use super::*;
     use crate::config::EmulatorConfig;
-    use crate::engine::Emulator;
+    use crate::test_support::{estimate, run};
     use segbus_model::ids::SegmentId;
     use segbus_model::mapping::{Allocation, Psm};
     use segbus_model::platform::Platform;
@@ -355,7 +355,7 @@ mod tests {
             .build()
             .unwrap();
         let psm = Psm::new(platform, app, alloc).unwrap();
-        Emulator::new(EmulatorConfig::traced()).run(&psm)
+        estimate(EmulatorConfig::traced(), &psm, 1)
     }
 
     fn empty_run() -> EmulationReport {
@@ -368,7 +368,7 @@ mod tests {
             .build()
             .unwrap();
         let psm = Psm::new(platform, app, alloc).unwrap();
-        Emulator::new(EmulatorConfig::traced()).run(&psm)
+        estimate(EmulatorConfig::traced(), &psm, 1)
     }
 
     #[test]
@@ -504,14 +504,14 @@ mod tests {
             .build()
             .unwrap();
         let psm = Psm::new(platform, app, alloc).unwrap();
-        let r = Emulator::default().run(&psm); // no trace
+        let r = run(&psm); // no trace
         let _ = wave_boundaries(&r);
     }
 
     #[test]
     fn mp3_utilisation_reflects_mapping() {
         let psm = segbus_apps::mp3::three_segment_psm();
-        let r = Emulator::new(EmulatorConfig::traced()).run(&psm);
+        let r = estimate(EmulatorConfig::traced(), &psm, 1);
         let u = analyze_trace(r.trace.as_ref().unwrap(), r.sas.len()).segments;
         // Segment 3 hosts only P4: near-idle bus.
         assert!(u[2].fraction < u[0].fraction);

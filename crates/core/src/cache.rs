@@ -628,9 +628,7 @@ mod tests {
         let job = BatchJob::new(psm(72), config);
         let first = pool.run_one(&job).unwrap();
         let second = pool.run_one(&job).unwrap();
-        let fresh = crate::engine::Emulator::new(config)
-            .try_run(&job.psm)
-            .unwrap();
+        let fresh = crate::test_support::estimate(config, &job.psm, 1);
         assert_same_report(&first, &fresh);
         assert_same_report(&second, &fresh);
         let s = pool.stats();
@@ -730,7 +728,7 @@ mod tests {
         // Fire-and-forget release overlaps compute with transfers, so the
         // jobs must not share a report.
         assert!(fire.makespan < plain.makespan);
-        let fresh = crate::engine::Emulator::new(local).try_run(&m).unwrap();
+        let fresh = crate::test_support::estimate(local, &m, 1);
         assert_same_report(fire, &fresh);
     }
 
@@ -738,11 +736,7 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let mut cache = ReportCache::new(2);
         let config = EmulatorConfig::default();
-        let mk = |items| {
-            crate::engine::Emulator::new(config)
-                .try_run(&psm(items))
-                .unwrap()
-        };
+        let mk = |items| crate::test_support::estimate(config, &psm(items), 1);
         cache.insert(1, mk(36));
         cache.insert(2, mk(72));
         assert!(cache.get(1).is_some()); // 1 is now MRU

@@ -120,12 +120,12 @@ pub fn estimate_energy(report: &EmulationReport, model: &EnergyModel) -> EnergyB
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Emulator;
+    use crate::test_support::run;
 
     #[test]
     fn mp3_energy_is_positive_and_dominated_by_compute() {
         let psm = segbus_apps::mp3::three_segment_psm();
-        let r = Emulator::default().run(&psm);
+        let r = run(&psm);
         let e = estimate_energy(&r, &EnergyModel::default());
         assert!(e.total_pj() > 0.0);
         assert_eq!(e.sa_pj.len(), 3);
@@ -140,8 +140,8 @@ mod tests {
     fn remote_mapping_costs_more_communication_energy() {
         let local = segbus_apps::mp3::three_segment_psm();
         let moved = segbus_apps::mp3::three_segment_p9_moved_psm();
-        let e_local = estimate_energy(&Emulator::default().run(&local), &EnergyModel::default());
-        let e_moved = estimate_energy(&Emulator::default().run(&moved), &EnergyModel::default());
+        let e_local = estimate_energy(&run(&local), &EnergyModel::default());
+        let e_moved = estimate_energy(&run(&moved), &EnergyModel::default());
         let bu_local: f64 = e_local.bu_pj.iter().sum();
         let bu_moved: f64 = e_moved.bu_pj.iter().sum();
         assert!(
@@ -161,8 +161,8 @@ mod tests {
         let alloc = segbus_apps::mp3::three_segment_allocation();
         let p36 = segbus_model::mapping::Psm::new(platform, app, alloc).unwrap();
         let p18 = p36.with_package_size(18).unwrap();
-        let e36 = estimate_energy(&Emulator::default().run(&p36), &EnergyModel::default());
-        let e18 = estimate_energy(&Emulator::default().run(&p18), &EnergyModel::default());
+        let e36 = estimate_energy(&run(&p36), &EnergyModel::default());
+        let e18 = estimate_energy(&run(&p18), &EnergyModel::default());
         let fu36: f64 = e36.fu_pj.iter().sum();
         let fu18: f64 = e18.fu_pj.iter().sum();
         assert!((fu36 - fu18).abs() / fu36 < 0.01, "{fu36} vs {fu18}");
@@ -183,7 +183,7 @@ mod tests {
             fu_compute_pj: 0.0,
         };
         let psm = segbus_apps::mp3::three_segment_psm();
-        let e = estimate_energy(&Emulator::default().run(&psm), &model);
+        let e = estimate_energy(&run(&psm), &model);
         assert_eq!(e.total_pj(), 0.0);
         assert_eq!(e.communication_fraction(), 0.0);
     }

@@ -1,7 +1,7 @@
 //! The discrete-event estimation engine.
 //!
-//! One [`Emulator::run`] call executes a validated PSM to completion under
-//! the wave semantics of DESIGN.md §4:
+//! One [`Engine::try_run`] call executes a validated PSM to completion
+//! under the wave semantics of DESIGN.md §4:
 //!
 //! * flows are grouped by ordering number `T`; wave `k` starts when wave
 //!   `k-1` has fully delivered;
@@ -27,8 +27,13 @@
 //! mutable scratch state owned by [`Engine`], which is reset and reused
 //! across runs so that parameter sweeps and placement searches do not pay
 //! an allocation storm per emulation. The event loop itself lives in
-//! [`crate::fast`]; [`Emulator`] remains the one-shot facade over the same
-//! machinery.
+//! [`crate::fast`].
+//!
+//! Every entry over a [`Psm`] returns a `Result`: it runs the strict
+//! pre-flight ([`crate::precheck::strict_validate`]) and compiles the plan
+//! with [`EnginePlan::try_new`] before executing, so bad input comes back
+//! as a typed `C0xx` code. Hot loops over one compiled plan call
+//! [`Engine::run_plan_into`] directly.
 
 use segbus_model::diag::SegbusError;
 use segbus_model::ids::{FlowId, ProcessId, SegmentId};
@@ -40,62 +45,6 @@ use crate::config::EmulatorConfig;
 use crate::precheck::compute_ticks;
 use crate::report::EmulationReport;
 use crate::trace::TraceLog;
-
-/// The performance-estimation emulator.
-///
-/// Construct once with a configuration, then [`Emulator::run`] any number
-/// of PSMs (runs are independent). Each call builds a fresh [`Engine`];
-/// hold an `Engine` directly to reuse its scratch buffers across runs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Emulator {
-    config: EmulatorConfig,
-}
-
-impl Emulator {
-    /// Create an emulator with the given configuration.
-    pub fn new(config: EmulatorConfig) -> Emulator {
-        Emulator { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &EmulatorConfig {
-        &self.config
-    }
-
-    /// Execute the PSM to completion and return the report.
-    pub fn run(&self, psm: &Psm) -> EmulationReport {
-        Engine::new(self.config).run(psm)
-    }
-
-    /// Execute `frames` back-to-back iterations of the application — the
-    /// streaming case the single-shot paper experiment abstracts away.
-    ///
-    /// Successive frames *pipeline* through the wave schedule: frame
-    /// `k`'s wave `w` becomes eligible as soon as frame `k`'s wave `w−1`
-    /// has delivered, independent of frame `k−1`'s later waves; each
-    /// functional unit still produces its own packages strictly in frame
-    /// order. `run_frames(psm, 1)` is identical to [`Emulator::run`].
-    ///
-    /// # Panics
-    /// Panics if `frames` is zero.
-    pub fn run_frames(&self, psm: &Psm, frames: u64) -> EmulationReport {
-        Engine::new(self.config).run_frames(psm, frames)
-    }
-
-    /// Like [`Emulator::run`], but validate the PSM against the engine
-    /// invariants first ([`crate::precheck::strict_validate`]) and report
-    /// violations as typed errors instead of panicking. This is the entry
-    /// point for untrusted input (imports, fuzzing, user files).
-    pub fn try_run(&self, psm: &Psm) -> Result<EmulationReport, SegbusError> {
-        self.try_run_frames(psm, 1)
-    }
-
-    /// Like [`Emulator::run_frames`], but panic-free; see
-    /// [`Emulator::try_run`].
-    pub fn try_run_frames(&self, psm: &Psm, frames: u64) -> Result<EmulationReport, SegbusError> {
-        Engine::new(self.config).try_run_frames(psm, frames)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // compiled plan
@@ -323,20 +272,6 @@ impl PlanDelta {
 }
 
 impl<'a> EnginePlan<'a> {
-    /// Compile the static tables for `psm`.
-    ///
-    /// # Panics
-    /// Panics if the PSM violates an engine invariant (unplaced process,
-    /// missing border unit, compute ticks overflowing `u64`). Use
-    /// [`EnginePlan::try_new`] for input that has not been through
-    /// [`crate::precheck::strict_validate`].
-    pub fn new(psm: &'a Psm) -> EnginePlan<'a> {
-        match EnginePlan::try_new(psm) {
-            Ok(plan) => plan,
-            Err(e) => panic!("PSM violates an engine invariant: {e}"),
-        }
-    }
-
     /// Compile the static tables for `psm`, reporting engine-invariant
     /// violations as typed errors (`C0xx` codes, see [`crate::precheck`])
     /// instead of panicking.
@@ -581,18 +516,6 @@ impl<'a> EnginePlan<'a> {
         Ok(delta)
     }
 
-    /// [`EnginePlan::try_remap`] that panics on invalid moves; for input
-    /// whose segments are known to exist and be routable.
-    ///
-    /// # Panics
-    /// Panics if the move is out of range or unroutable.
-    pub fn remap(&mut self, p: ProcessId, to: SegmentId) -> PlanDelta {
-        match self.try_remap(p, to) {
-            Ok(d) => d,
-            Err(e) => panic!("invalid remap: {e}"),
-        }
-    }
-
     /// Undo a [`EnginePlan::try_remap`], restoring the process's segment
     /// and every rewritten hop-table entry. Deltas must be reverted in
     /// LIFO order relative to other remaps of the same process.
@@ -607,13 +530,13 @@ impl<'a> EnginePlan<'a> {
 // ---------------------------------------------------------------------------
 // engine
 
-/// A reusable emulation engine: configuration plus scratch buffers.
+/// The performance-estimation emulator: configuration plus scratch buffers.
 ///
-/// Unlike the [`Emulator`] facade, an `Engine` is stateful — successive
-/// [`Engine::run`] calls reuse every internal vector (event queue,
-/// per-segment queues, counters), which makes tight loops over many PSMs
-/// (sweeps, placement searches) allocation-free apart from plan
-/// compilation. Results are bit-identical to a fresh `Emulator` run.
+/// An `Engine` is stateful — successive runs reuse every internal vector
+/// (event queue, per-segment queues, counters), which makes tight loops
+/// over many PSMs (sweeps, placement searches) allocation-free apart from
+/// plan compilation. Results are bit-identical to a fresh engine's.
+#[derive(Default)]
 pub struct Engine {
     config: EmulatorConfig,
     fast: crate::fast::FastScratch,
@@ -633,29 +556,26 @@ impl Engine {
         &self.config
     }
 
-    /// Execute the PSM to completion and return the report.
-    pub fn run(&mut self, psm: &Psm) -> EmulationReport {
-        let plan = EnginePlan::new(psm);
-        self.run_plan(&plan, 1)
-    }
-
-    /// Multi-frame execution; see [`Emulator::run_frames`].
-    ///
-    /// # Panics
-    /// Panics if `frames` is zero.
-    pub fn run_frames(&mut self, psm: &Psm, frames: u64) -> EmulationReport {
-        let plan = EnginePlan::new(psm);
-        self.run_plan(&plan, frames)
-    }
-
-    /// Panic-free [`Engine::run`]; see [`Emulator::try_run`].
+    /// Execute the PSM to completion and return the report;
+    /// `try_run_frames(psm, 1)`.
     pub fn try_run(&mut self, psm: &Psm) -> Result<EmulationReport, SegbusError> {
         self.try_run_frames(psm, 1)
     }
 
-    /// Panic-free [`Engine::run_frames`]: runs
-    /// [`crate::precheck::strict_validate`], compiles the plan with
-    /// [`EnginePlan::try_new`], and only then executes.
+    /// Execute `frames` back-to-back iterations of the application — the
+    /// streaming case the single-shot paper experiment abstracts away.
+    ///
+    /// Successive frames *pipeline* through the wave schedule: frame
+    /// `k`'s wave `w` becomes eligible as soon as frame `k`'s wave `w−1`
+    /// has delivered, independent of frame `k−1`'s later waves; each
+    /// functional unit still produces its own packages strictly in frame
+    /// order.
+    ///
+    /// Runs [`crate::precheck::strict_validate`] and compiles the plan with
+    /// [`EnginePlan::try_new`] before executing, so invalid input (zero
+    /// frames, a missing route, a run too large for the timeline) comes
+    /// back as a typed `C0xx` error. This is the entry point for untrusted input
+    /// (imports, fuzzing, user files).
     pub fn try_run_frames(
         &mut self,
         psm: &Psm,
@@ -663,30 +583,24 @@ impl Engine {
     ) -> Result<EmulationReport, SegbusError> {
         crate::precheck::strict_validate(psm, frames, &self.config)?;
         let plan = EnginePlan::try_new(psm)?;
-        Ok(self.run_plan(&plan, frames))
-    }
-
-    /// Execute a pre-compiled plan. Compile once with [`EnginePlan::new`]
-    /// to amortise table construction over repeated runs of one PSM.
-    ///
-    /// # Panics
-    /// Panics if `frames` is zero.
-    pub fn run_plan(&mut self, plan: &EnginePlan, frames: u64) -> EmulationReport {
         let mut out = EmulationReport::empty();
-        self.run_plan_into(plan, frames, &mut out);
-        out
+        self.run_plan_into(&plan, frames, &mut out);
+        Ok(out)
     }
 
-    /// [`Engine::run_plan`] assembling the result into `out`, reusing its
-    /// vectors (counters, clock tables, border-unit refs) instead of
-    /// allocating a fresh report per run. Tight evaluation loops —
-    /// placement search emulating thousands of candidates — hold one
-    /// report buffer and make the whole run allocation-free apart from
-    /// first-time growth. `out`'s previous contents are overwritten; the
-    /// result is bit-identical to [`Engine::run_plan`]'s.
+    /// Execute a pre-compiled plan, assembling the result into `out` and
+    /// reusing its vectors (counters, clock tables, border-unit refs)
+    /// instead of allocating a fresh report per run. Compile once with
+    /// [`EnginePlan::try_new`] to amortise table construction over repeated
+    /// runs; tight evaluation loops — placement search emulating thousands
+    /// of candidates — hold one report buffer and make the whole run
+    /// allocation-free apart from first-time growth. `out`'s previous
+    /// contents are overwritten.
     ///
     /// # Panics
-    /// Panics if `frames` is zero.
+    /// Panics if `frames` is zero or above the `C008` frame bound: the
+    /// caller has run [`crate::precheck::strict_validate`] with the same
+    /// `frames`, which rejects both.
     pub fn run_plan_into(&mut self, plan: &EnginePlan, frames: u64, out: &mut EmulationReport) {
         let mut log = self.config.trace.then(TraceLog::new);
         let sink = log.as_mut().map(|l| l as &mut dyn crate::trace::TraceSink);
@@ -694,35 +608,12 @@ impl Engine {
         out.trace = log;
     }
 
-    /// Execute a pre-compiled plan, streaming every trace event into
-    /// `sink` instead of collecting an in-memory [`TraceLog`] — the way
-    /// to trace million-event runs without ballooning memory (pair with
+    /// [`Engine::try_run_frames`], streaming every trace event into `sink`
+    /// instead of collecting an in-memory [`TraceLog`] — the way to trace
+    /// million-event runs without ballooning memory (pair with
     /// [`crate::sbt::SbtWriter`]). The returned report's `trace` field is
     /// `None`: the events went to the sink. Tracing is implied; the
     /// configured [`EmulatorConfig::trace`] flag is ignored here.
-    ///
-    /// # Panics
-    /// Panics if `frames` is zero.
-    pub fn run_plan_with_sink(
-        &mut self,
-        plan: &EnginePlan,
-        frames: u64,
-        sink: &mut dyn crate::trace::TraceSink,
-    ) -> EmulationReport {
-        let mut report = EmulationReport::empty();
-        crate::fast::run_fast(
-            plan,
-            &mut self.fast,
-            &self.config,
-            frames,
-            Some(sink),
-            &mut report,
-        );
-        report
-    }
-
-    /// Panic-free [`Engine::run_plan_with_sink`] over a PSM: validates,
-    /// compiles the plan, then executes with trace streaming.
     pub fn try_run_frames_with_sink(
         &mut self,
         psm: &Psm,
@@ -731,7 +622,16 @@ impl Engine {
     ) -> Result<EmulationReport, SegbusError> {
         crate::precheck::strict_validate(psm, frames, &self.config)?;
         let plan = EnginePlan::try_new(psm)?;
-        Ok(self.run_plan_with_sink(&plan, frames, sink))
+        let mut out = EmulationReport::empty();
+        crate::fast::run_fast(
+            &plan,
+            &mut self.fast,
+            &self.config,
+            frames,
+            Some(sink),
+            &mut out,
+        );
+        Ok(out)
     }
 }
 
@@ -795,8 +695,12 @@ mod tests {
             .unwrap()
     }
 
+    fn run_with(config: EmulatorConfig, psm: &Psm) -> EmulationReport {
+        crate::test_support::estimate(config, psm, 1)
+    }
+
     fn run(psm: &Psm) -> EmulationReport {
-        Emulator::new(EmulatorConfig::traced()).run(psm)
+        run_with(EmulatorConfig::traced(), psm)
     }
 
     /// One producer, one consumer, same segment, 2 packages of 36 items.
@@ -881,7 +785,7 @@ mod tests {
             producer_release: ProducerRelease::AfterLocalPhase,
             ..EmulatorConfig::default()
         };
-        let r2 = Emulator::new(cfg).run(&remote_pair(36));
+        let r2 = run_with(cfg, &remote_pair(36));
         assert_eq!(r2.fus[0].end, Some(Picos(141 * 10_000)));
         assert_eq!(r2.makespan, r.makespan, "single package: same makespan");
     }
@@ -1052,7 +956,7 @@ mod tests {
         ];
         for psm in &shapes {
             let fresh = run(psm);
-            let reused = engine.run(psm);
+            let reused = engine.try_run(psm).unwrap();
             assert_eq!(fresh.makespan, reused.makespan);
             assert_eq!(fresh.sas, reused.sas);
             assert_eq!(fresh.ca, reused.ca);
@@ -1065,11 +969,11 @@ mod tests {
     #[test]
     fn plan_reuse_matches_run() {
         let psm = remote_pair(5 * 36);
-        let plan = EnginePlan::new(&psm);
-        let mut engine = Engine::new(EmulatorConfig::default());
-        let a = engine.run_plan(&plan, 1);
-        let b = engine.run_plan(&plan, 1);
-        let c = Emulator::default().run(&psm);
+        let plan = EnginePlan::try_new(&psm).unwrap();
+        let mut engine = Engine::default();
+        let a = crate::test_support::run_plan(&mut engine, &plan, 1);
+        let b = crate::test_support::run_plan(&mut engine, &plan, 1);
+        let c = run_with(EmulatorConfig::default(), &psm);
         assert_eq!(a.makespan, c.makespan);
         assert_eq!(b.makespan, c.makespan);
         assert_eq!(a.sas, c.sas);
@@ -1096,16 +1000,16 @@ mod tests {
         }
         let psm = Psm::new(uniform(1, 36), app, alloc).unwrap();
 
-        let run_with = |policy| {
+        let run_policy = |policy| {
             let cfg = EmulatorConfig {
                 arbitration: policy,
                 ..EmulatorConfig::traced()
             };
-            Emulator::new(cfg).run(&psm)
+            run_with(cfg, &psm)
         };
-        let fifo = run_with(ArbitrationPolicy::Fifo);
-        let prio = run_with(ArbitrationPolicy::FixedPriority);
-        let fair = run_with(ArbitrationPolicy::FairRoundRobin);
+        let fifo = run_policy(ArbitrationPolicy::Fifo);
+        let prio = run_policy(ArbitrationPolicy::FixedPriority);
+        let fair = run_policy(ArbitrationPolicy::FairRoundRobin);
 
         // Conservation is policy-independent; makespans may differ a
         // little (service order shifts the idle gaps) but the bus-bound

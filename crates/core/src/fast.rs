@@ -1258,8 +1258,8 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::test_support::{estimate, reference, run_plan};
     use crate::trace::TraceLog;
-    use crate::ReferenceEmulator;
     use segbus_model::mapping::{Allocation, Psm};
     use segbus_model::platform::Platform;
     use segbus_model::psdf::{Application, Flow, Process};
@@ -1276,8 +1276,8 @@ mod tests {
     }
 
     fn assert_identical(psm: &Psm, frames: u64, cfg: EmulatorConfig, label: &str) {
-        let a = ReferenceEmulator::new(cfg).run_frames(psm, frames);
-        let b = Engine::new(cfg).run_frames(psm, frames);
+        let a = reference(cfg, psm, frames);
+        let b = estimate(cfg, psm, frames);
         assert_same_report(&a, &b, label);
     }
 
@@ -1286,8 +1286,8 @@ mod tests {
     /// the emission order is pinned by golden digests instead). Returns
     /// the fast core's trace.
     fn assert_same_trace(psm: &Psm, frames: u64, cfg: EmulatorConfig, label: &str) -> TraceLog {
-        let a = ReferenceEmulator::new(cfg).run_frames(psm, frames);
-        let b = Engine::new(cfg).run_frames(psm, frames);
+        let a = reference(cfg, psm, frames);
+        let b = estimate(cfg, psm, frames);
         assert_same_report(&a, &b, label);
         let mut ta = a.trace.expect("reference trace").events().to_vec();
         let tb = b.trace.expect("fast trace");
@@ -1442,8 +1442,9 @@ mod tests {
     fn fast_scratch_reuse_is_bit_identical() {
         let mut engine = Engine::new(EmulatorConfig::default());
         for psm in shapes().iter().chain(shapes().iter().rev()) {
-            let fresh = ReferenceEmulator::new(EmulatorConfig::default()).run(psm);
-            assert_same_report(&fresh, &engine.run(psm), "reused engine");
+            let fresh = reference(EmulatorConfig::default(), psm, 1);
+            let reused = engine.try_run(psm).unwrap();
+            assert_same_report(&fresh, &reused, "reused engine");
         }
     }
 
@@ -1485,16 +1486,14 @@ mod tests {
     fn traced_fast_core_streams_to_sbt() {
         use crate::sbt::{read_trace, SbtWriter};
         let psm = segbus_apps::mp3::three_segment_psm();
-        let in_memory = Engine::new(EmulatorConfig::traced()).run_frames(&psm, 2);
+        let in_memory = estimate(EmulatorConfig::traced(), &psm, 2);
         let dir = std::env::temp_dir().join(format!("fast-sbt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mp3.sbt");
         let mut sink = SbtWriter::create(&path, 3, 10).unwrap();
-        let plan = EnginePlan::new(&psm);
-        let streamed = {
-            let mut engine = Engine::new(EmulatorConfig::traced());
-            engine.run_plan_with_sink(&plan, 2, &mut sink)
-        };
+        let streamed = Engine::new(EmulatorConfig::traced())
+            .try_run_frames_with_sink(&psm, 2, &mut sink)
+            .unwrap();
         sink.finish().unwrap();
         assert!(streamed.trace.is_none(), "events went to the sink");
         assert_eq!(streamed.makespan, in_memory.makespan);
@@ -1576,14 +1575,14 @@ mod tests {
     fn remapped_route_bitsets_equal_a_fresh_plan() {
         use segbus_model::platform::Topology;
         let psm = wide(Topology::Linear, 129);
-        let mut patched = EnginePlan::new(&psm);
+        let mut patched = EnginePlan::try_new(&psm).unwrap();
         let routes = patched.paths.len();
         let sink = ProcessId(7);
         assert_eq!(patched.segment_of(sink), SegmentId(129));
-        patched.remap(sink, SegmentId(100));
+        patched.try_remap(sink, SegmentId(100)).unwrap();
         assert_eq!(patched.paths.len(), routes + 1, "one new route");
         let moved = wide(Topology::Linear, 100);
-        let fresh = EnginePlan::new(&moved);
+        let fresh = EnginePlan::try_new(&moved).unwrap();
         for f in 0..fresh.flow_path.len() {
             let a = &patched.paths[patched.flow_path[f] as usize];
             let b = &fresh.paths[fresh.flow_path[f] as usize];
@@ -1592,10 +1591,10 @@ mod tests {
             assert_eq!(a.mask.len(), 3, "flow {f}: three words");
         }
         let mut engine = Engine::new(EmulatorConfig::default());
-        let a = engine.run_plan(&patched, 2);
-        let b = engine.run_plan(&fresh, 2);
+        let a = run_plan(&mut engine, &patched, 2);
+        let b = run_plan(&mut engine, &fresh, 2);
         assert_same_report(&a, &b, "patched vs fresh plan");
-        let r = ReferenceEmulator::new(EmulatorConfig::default()).run_frames(&moved, 2);
+        let r = reference(EmulatorConfig::default(), &moved, 2);
         assert_same_report(&a, &r, "patched plan vs reference");
     }
 

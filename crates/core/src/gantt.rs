@@ -90,10 +90,14 @@ pub fn ascii_gantt(report: &EmulationReport, width: usize) -> String {
 mod tests {
     use super::*;
     use crate::config::EmulatorConfig;
-    use crate::engine::Emulator;
+    use crate::test_support::estimate;
 
     fn traced_mp3() -> EmulationReport {
-        Emulator::new(EmulatorConfig::traced()).run(&segbus_apps::mp3::three_segment_psm())
+        estimate(
+            EmulatorConfig::traced(),
+            &segbus_apps::mp3::three_segment_psm(),
+            1,
+        )
     }
 
     #[test]

@@ -18,16 +18,16 @@
 //! simulator `segbus-rtl` models those factors.
 //!
 //! Beyond the paper's single-shot run, the crate provides pipelined
-//! multi-frame execution ([`Emulator::run_frames`]), trace [`analysis`],
+//! multi-frame execution ([`Engine::try_run_frames`]), trace [`analysis`],
 //! [`energy`] attribution, [`vcd`] waveform export and a [`parallel`]
 //! sweep runner.
 //!
 //! ```
 //! use segbus_apps::mp3;
-//! use segbus_core::{Emulator, EmulatorConfig};
+//! use segbus_core::Engine;
 //!
 //! let psm = mp3::three_segment_psm();
-//! let report = Emulator::new(EmulatorConfig::default()).run(&psm);
+//! let report = Engine::default().try_run(&psm).expect("the MP3 model is valid");
 //! println!("estimated execution time: {:.2} us",
 //!          report.execution_time().as_micros_f64());
 //! assert!(report.ca.inter_requests > 0);
@@ -62,7 +62,7 @@ pub use cache::{job_digest, job_digest_from, BatchJob, CacheStats, CachedPool, R
 pub use config::{ArbitrationPolicy, EmulatorConfig, ProducerRelease};
 pub use counters::{BuCounters, CaCounters, FuTimes, SaCounters};
 pub use energy::{estimate_energy, EnergyBreakdown, EnergyModel};
-pub use engine::{Emulator, Engine, EnginePlan, PlanDelta};
+pub use engine::{Engine, EnginePlan, PlanDelta};
 pub use gantt::ascii_gantt;
 pub use montecarlo::{run_monte_carlo, McOptions, McReport, McStats, UtilisationSpread};
 pub use parallel::SweepPool;
@@ -73,3 +73,37 @@ pub use report::EmulationReport;
 pub use sbt::{read_trace, SbtTrace, SbtWriter};
 pub use trace::{TraceEvent, TraceKind, TraceLog, TraceSink};
 pub use vcd::to_vcd;
+
+#[cfg(test)]
+/// Runs over models the in-crate tests build valid.
+pub(crate) mod test_support {
+    use segbus_model::mapping::Psm;
+
+    use crate::{EmulationReport, EmulatorConfig, Engine, EnginePlan, ReferenceEmulator};
+
+    /// One default-configuration frame of a valid model.
+    pub(crate) fn run(psm: &Psm) -> EmulationReport {
+        estimate(EmulatorConfig::default(), psm, 1)
+    }
+
+    /// [`Engine::try_run_frames`] on a valid model.
+    pub(crate) fn estimate(config: EmulatorConfig, psm: &Psm, frames: u64) -> EmulationReport {
+        Engine::new(config)
+            .try_run_frames(psm, frames)
+            .expect("test models are valid")
+    }
+
+    /// [`ReferenceEmulator::try_run_frames`] on a valid model.
+    pub(crate) fn reference(config: EmulatorConfig, psm: &Psm, frames: u64) -> EmulationReport {
+        ReferenceEmulator::new(config)
+            .try_run_frames(psm, frames)
+            .expect("test models are valid")
+    }
+
+    /// [`Engine::run_plan_into`] a fresh report.
+    pub(crate) fn run_plan(engine: &mut Engine, plan: &EnginePlan, frames: u64) -> EmulationReport {
+        let mut out = EmulationReport::empty();
+        engine.run_plan_into(plan, frames, &mut out);
+        out
+    }
+}

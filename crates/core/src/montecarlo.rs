@@ -277,7 +277,9 @@ pub fn run_monte_carlo(
             } else {
                 own_engine.get_or_insert_with(|| Engine::new(config))
             };
-            Ok(engine.run_plan(plan, frames))
+            let mut report = EmulationReport::empty();
+            engine.run_plan_into(plan, frames, &mut report);
+            Ok(report)
         },
         |report| (report.makespan.0, utilisation_fractions(report)),
     );

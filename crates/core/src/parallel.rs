@@ -14,6 +14,7 @@ use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use segbus_model::diag::SegbusError;
 use segbus_model::mapping::Psm;
 
 use crate::config::EmulatorConfig;
@@ -42,13 +43,14 @@ impl<R> ResultSlots<R> {
 /// A reusable pool configuration for batched emulation sweeps.
 ///
 /// ```
-/// use segbus_apps::{generators, mp3};
+/// use segbus_apps::mp3;
 /// use segbus_core::{EmulatorConfig, SweepPool};
 ///
 /// let psms = vec![mp3::three_segment_psm(), mp3::three_segment_psm()];
 /// let pool = SweepPool::new(EmulatorConfig::default());
 /// let reports = pool.sweep(&psms);
-/// assert_eq!(reports[0].makespan, reports[1].makespan);
+/// let makespan = |i: usize| reports[i].as_ref().expect("the MP3 model is valid").makespan;
+/// assert_eq!(makespan(0), makespan(1));
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct SweepPool {
@@ -76,9 +78,10 @@ impl SweepPool {
         self.threads
     }
 
-    /// Emulate every PSM; results are returned in input order.
-    pub fn sweep(&self, psms: &[Psm]) -> Vec<EmulationReport> {
-        self.sweep_with(psms, |engine, psm| engine.run(psm))
+    /// Emulate every PSM with [`Engine::try_run`]; results are returned in
+    /// input order, an invalid PSM as its typed error.
+    pub fn sweep(&self, psms: &[Psm]) -> Vec<Result<EmulationReport, SegbusError>> {
+        self.sweep_with(psms, |engine, psm| engine.try_run(psm))
     }
 
     /// Generalised sweep: run `f(engine, job)` for every job on the pool,
@@ -186,14 +189,25 @@ mod tests {
         Psm::new(platform, app, alloc).unwrap()
     }
 
+    /// `sweep` over models the tests build valid.
+    fn sweep(pool: SweepPool, psms: &[Psm]) -> Vec<EmulationReport> {
+        pool.sweep(psms)
+            .into_iter()
+            .map(|r| r.expect("test models are valid"))
+            .collect()
+    }
+
     /// Any worker count produces the same reports — the pool only changes
     /// who computes a slot, never what lands in it.
     #[test]
     fn sweep_is_thread_count_invariant() {
         let psms: Vec<Psm> = (1..=40).map(|k| psm(36 * (1 + k % 7))).collect();
-        let reference = SweepPool::with_threads(EmulatorConfig::default(), 1).sweep(&psms);
+        let reference = sweep(SweepPool::with_threads(EmulatorConfig::default(), 1), &psms);
         for threads in [4, 16] {
-            let out = SweepPool::with_threads(EmulatorConfig::default(), threads).sweep(&psms);
+            let out = sweep(
+                SweepPool::with_threads(EmulatorConfig::default(), threads),
+                &psms,
+            );
             assert_eq!(out.len(), reference.len());
             for (a, b) in reference.iter().zip(&out) {
                 assert_eq!(a.makespan, b.makespan);
@@ -210,7 +224,9 @@ mod tests {
         let base = psm(10 * 36);
         let frames: Vec<u64> = vec![1, 2, 3, 4];
         let pool = SweepPool::with_threads(EmulatorConfig::default(), 2);
-        let out = pool.sweep_with(&frames, |engine, &n| engine.run_frames(&base, n).makespan);
+        let out = pool.sweep_with(&frames, |engine, &n| {
+            engine.try_run_frames(&base, n).unwrap().makespan
+        });
         // More frames => strictly more work.
         for w in out.windows(2) {
             assert!(w[0] < w[1]);
@@ -220,7 +236,7 @@ mod tests {
     #[test]
     fn results_in_input_order() {
         let psms: Vec<Psm> = (1..=8).map(|k| psm(36 * k)).collect();
-        let out = SweepPool::new(EmulatorConfig::default()).sweep(&psms);
+        let out = sweep(SweepPool::new(EmulatorConfig::default()), &psms);
         // More items => strictly longer makespan, so order checks placement.
         for w in out.windows(2) {
             assert!(w[0].makespan < w[1].makespan);
@@ -231,7 +247,7 @@ mod tests {
     fn empty_and_single_inputs() {
         let pool = SweepPool::new(EmulatorConfig::default());
         assert!(pool.sweep(&[]).is_empty());
-        let one = pool.sweep(&[psm(36)]);
+        let one = sweep(pool, &[psm(36)]);
         assert_eq!(one.len(), 1);
     }
 

@@ -551,7 +551,7 @@ fn decode_report(payload: &[u8]) -> Option<EmulationReport> {
 mod tests {
     use super::*;
     use crate::config::EmulatorConfig;
-    use crate::engine::Emulator;
+    use crate::test_support::estimate;
     use segbus_model::mapping::{Allocation, Psm};
     use segbus_model::platform::Platform;
     use segbus_model::psdf::{Application, Flow, Process};
@@ -573,9 +573,7 @@ mod tests {
     }
 
     fn report(items: u64) -> EmulationReport {
-        Emulator::new(EmulatorConfig::default())
-            .try_run(&psm(items))
-            .unwrap()
+        estimate(EmulatorConfig::default(), &psm(items), 1)
     }
 
     fn assert_same(a: &EmulationReport, b: &EmulationReport) {
@@ -753,9 +751,7 @@ mod tests {
     #[test]
     fn traced_reports_are_not_persisted() {
         let dir = tmpdir("traced");
-        let traced = Emulator::new(EmulatorConfig::traced())
-            .try_run(&psm(36))
-            .unwrap();
+        let traced = estimate(EmulatorConfig::traced(), &psm(36), 1);
         let mut store = DiskStore::open(&dir).unwrap();
         assert!(!store.append(9, &traced).unwrap());
         assert!(store.is_empty());

@@ -13,10 +13,10 @@
 //! pin the fast core's order instead.
 //!
 //! Apart from the type rename (`Emulator` → [`ReferenceEmulator`]), this
-//! header and the additive `try_run`/`try_run_frames` wrappers (which run
-//! the shared pre-flight validation and then call the verbatim engine),
-//! the code is untouched; keep it that way so the oracle stays an
-//! independent implementation.
+//! header and the `try_run`/`try_run_frames` entries (which run the shared
+//! pre-flight validation and then call the verbatim engine, mirroring
+//! [`crate::Engine`]'s entries), the code is untouched; keep it that way
+//! so the oracle stays an independent implementation.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -34,10 +34,10 @@ use crate::counters::{BuCounters, CaCounters, FuTimes, SaCounters};
 use crate::report::EmulationReport;
 use crate::trace::{TraceEvent, TraceKind, TraceLog};
 
-/// The performance-estimation emulator.
+/// The oracle copy of the performance-estimation emulator.
 ///
-/// Construct once with a configuration, then [`ReferenceEmulator::run`] any number
-/// of PSMs (runs are independent).
+/// Construct once with a configuration, then [`ReferenceEmulator::try_run`]
+/// any number of PSMs (runs are independent).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReferenceEmulator {
     config: EmulatorConfig,
@@ -54,37 +54,17 @@ impl ReferenceEmulator {
         &self.config
     }
 
-    /// Execute the PSM to completion and return the report.
-    pub fn run(&self, psm: &Psm) -> EmulationReport {
-        Sim::new(psm, self.config, 1).run()
-    }
-
-    /// Execute `frames` back-to-back iterations of the application — the
-    /// streaming case the single-shot paper experiment abstracts away.
-    ///
-    /// Successive frames *pipeline* through the wave schedule: frame
-    /// `k`'s wave `w` becomes eligible as soon as frame `k`'s wave `w−1`
-    /// has delivered, independent of frame `k−1`'s later waves; each
-    /// functional unit still produces its own packages strictly in frame
-    /// order. `run_frames(psm, 1)` is identical to [`ReferenceEmulator::run`].
-    ///
-    /// # Panics
-    /// Panics if `frames` is zero.
-    pub fn run_frames(&self, psm: &Psm, frames: u64) -> EmulationReport {
-        assert!(frames > 0, "at least one frame");
-        Sim::new(psm, self.config, frames).run()
-    }
-
-    /// Like [`ReferenceEmulator::run`], but runs the strict pre-flight
-    /// validation first and returns a typed error instead of panicking —
-    /// mirrors [`crate::engine::Emulator::try_run`], so the differential
-    /// harness can feed both engines un-prechecked inputs.
+    /// Execute the PSM to completion and return the report;
+    /// `try_run_frames(psm, 1)`.
     pub fn try_run(&self, psm: &Psm) -> Result<EmulationReport, SegbusError> {
         self.try_run_frames(psm, 1)
     }
 
-    /// Fallible counterpart of [`ReferenceEmulator::run_frames`]; see
-    /// [`ReferenceEmulator::try_run`].
+    /// Execute `frames` pipelined iterations of the application (see
+    /// [`crate::Engine::try_run_frames`]). Runs the strict pre-flight
+    /// validation first and returns a typed error instead of panicking,
+    /// exactly as the fast core's entries do, so the differential harness
+    /// can feed both engines un-prechecked inputs.
     pub fn try_run_frames(&self, psm: &Psm, frames: u64) -> Result<EmulationReport, SegbusError> {
         crate::precheck::strict_validate(psm, frames, &self.config)?;
         Ok(Sim::new(psm, self.config, frames).run())

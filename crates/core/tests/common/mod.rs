@@ -1,6 +1,35 @@
-//! Helpers shared by the integration tests.
+//! Helpers shared by the integration tests. Each test binary uses a
+//! subset of them.
+#![allow(dead_code)]
 
+use segbus_core::{EmulationReport, EmulatorConfig, Engine, EnginePlan, ReferenceEmulator};
 use segbus_model::mapping::Psm;
+
+/// [`Engine::try_run_frames`] on a model the test builds valid.
+pub fn estimate(config: EmulatorConfig, psm: &Psm, frames: u64) -> EmulationReport {
+    Engine::new(config)
+        .try_run_frames(psm, frames)
+        .expect("test models are valid")
+}
+
+/// One default-configuration frame of a valid model.
+pub fn run(psm: &Psm) -> EmulationReport {
+    estimate(EmulatorConfig::default(), psm, 1)
+}
+
+/// [`ReferenceEmulator::try_run_frames`] on a valid model.
+pub fn reference(config: EmulatorConfig, psm: &Psm, frames: u64) -> EmulationReport {
+    ReferenceEmulator::new(config)
+        .try_run_frames(psm, frames)
+        .expect("test models are valid")
+}
+
+/// [`Engine::run_plan_into`] a fresh report.
+pub fn run_plan(engine: &mut Engine, plan: &EnginePlan, frames: u64) -> EmulationReport {
+    let mut out = EmulationReport::empty();
+    engine.run_plan_into(plan, frames, &mut out);
+    out
+}
 
 /// The committed corpus scenarios as (`family/file.sbd`, parsed PSM),
 /// sorted by path.

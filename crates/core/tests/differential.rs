@@ -11,14 +11,11 @@ use segbus_apps::generators::{
     GeneratorConfig,
 };
 use segbus_apps::mp3;
-use segbus_core::{
-    ArbitrationPolicy, EmulationReport, EmulatorConfig, ProducerRelease, ReferenceEmulator,
-    SweepPool,
-};
+use segbus_core::{ArbitrationPolicy, EmulationReport, EmulatorConfig, ProducerRelease, SweepPool};
 use segbus_model::mapping::Psm;
 
 mod common;
-use common::corpus;
+use common::{corpus, reference};
 
 /// Every arbitration × release policy pair.
 fn policies() -> Vec<EmulatorConfig> {
@@ -60,7 +57,7 @@ fn assert_matches_reference(psms: &[(String, Psm)], frame_counts: &[u64]) {
             .map(|(_, psm)| {
                 frame_counts
                     .iter()
-                    .map(|&f| ReferenceEmulator::new(cfg).run_frames(psm, f))
+                    .map(|&f| reference(cfg, psm, f))
                     .collect()
             })
             .collect();
@@ -69,7 +66,7 @@ fn assert_matches_reference(psms: &[(String, Psm)], frame_counts: &[u64]) {
             let got = pool.sweep_with(psms, |engine, (_, psm)| {
                 frame_counts
                     .iter()
-                    .map(|&f| engine.run_frames(psm, f))
+                    .map(|&f| engine.try_run_frames(psm, f).unwrap())
                     .collect::<Vec<_>>()
             });
             for (((name, _), want), got) in psms.iter().zip(&expected).zip(&got) {
@@ -195,9 +192,16 @@ fn sweep_pool_is_thread_count_invariant_on_mp3_sweeps() {
             .unwrap(),
         );
     }
-    let reference = SweepPool::with_threads(EmulatorConfig::default(), 1).sweep(&psms);
+    let sweep = |threads| {
+        SweepPool::with_threads(EmulatorConfig::default(), threads)
+            .sweep(&psms)
+            .into_iter()
+            .map(|r| r.expect("generated models are valid"))
+            .collect::<Vec<_>>()
+    };
+    let reference = sweep(1);
     for threads in [4usize, 16] {
-        let out = SweepPool::with_threads(EmulatorConfig::default(), threads).sweep(&psms);
+        let out = sweep(threads);
         for (i, (a, b)) in reference.iter().zip(&out).enumerate() {
             assert_eq!(a.makespan, b.makespan, "job {i} on {threads} threads");
             assert_eq!(a.sas, b.sas, "job {i} on {threads} threads");

@@ -19,7 +19,7 @@ use segbus_model::psdf::{Application, Flow, FlowValues, Process};
 use segbus_model::stochastic::{mix_seed, sample_flow_values, sample_psm, Dist, FlowNoise};
 
 mod common;
-use common::corpus;
+use common::{corpus, run_plan};
 use segbus_model::time::ClockDomain;
 
 /// Samples per pinned estimation.
@@ -248,19 +248,19 @@ fn patched_plan_matches_fresh_plan_and_rejected_patch_changes_nothing() {
             plan.try_set_flow_values(&values, 1).unwrap();
             let sampled = sample_psm(&psm, seed).unwrap();
             let fresh = engine.try_run_frames(&sampled, 1).unwrap();
-            let patched = engine.run_plan(&plan, 1);
+            let patched = run_plan(&mut engine, &plan, 1);
             assert_eq!(patched.makespan, fresh.makespan, "{scenario} seed {seed}");
             assert_eq!(patched.sas, fresh.sas, "{scenario} seed {seed}");
             assert_eq!(patched.fus, fresh.fus, "{scenario} seed {seed}");
         }
-        let before = engine.run_plan(&plan, 1);
+        let before = run_plan(&mut engine, &plan, 1);
         let mut huge = values.clone();
         huge[0].items = u64::MAX;
         let e = plan.try_set_flow_values(&huge, 1).unwrap_err();
         assert_eq!(e.code, "C008", "{scenario}");
         let e = plan.try_set_flow_values(&values[1..], 1).unwrap_err();
         assert_eq!(e.code, "C003", "{scenario}");
-        let after = engine.run_plan(&plan, 1);
+        let after = run_plan(&mut engine, &plan, 1);
         assert_eq!(after.makespan, before.makespan, "{scenario}");
         assert_eq!(after.fus, before.fus, "{scenario}");
     }

@@ -7,13 +7,16 @@
 //! against a band around the paper's 489.79 µs.
 
 use segbus_apps::mp3;
-use segbus_core::{Emulator, EmulatorConfig};
+use segbus_core::EmulatorConfig;
 use segbus_model::ids::{ProcessId, SegmentId};
+
+mod common;
+use common::{estimate, run};
 
 #[test]
 fn three_segment_run_matches_paper_structure() {
     let psm = mp3::three_segment_psm();
-    let report = Emulator::new(EmulatorConfig::traced()).run(&psm);
+    let report = estimate(EmulatorConfig::traced(), &psm, 1);
 
     // --- exact structural counts from the paper's print-out -------------
     // BU12: 32 packages in, 32 out, all left-to-right.
@@ -79,8 +82,8 @@ fn three_segment_run_matches_paper_structure() {
 #[test]
 fn package_size_18_is_slower() {
     // Paper: 489.79 µs at s = 36 vs 560.16 µs at s = 18 (~14 % slower).
-    let r36 = Emulator::default().run(&mp3::three_segment_psm());
-    let r18 = Emulator::default().run(&mp3::three_segment_psm().with_package_size(18).unwrap());
+    let r36 = run(&mp3::three_segment_psm());
+    let r18 = run(&mp3::three_segment_psm().with_package_size(18).unwrap());
     let t36 = r36.execution_time().as_micros_f64();
     let t18 = r18.execution_time().as_micros_f64();
     assert!(
@@ -98,8 +101,8 @@ fn package_size_18_is_slower() {
 #[test]
 fn moving_p9_to_segment_3_is_slower() {
     // Paper: 489.79 µs for Fig. 9 vs 540.4 µs with P9 on segment 3.
-    let base = Emulator::default().run(&mp3::three_segment_psm());
-    let moved = Emulator::default().run(&mp3::three_segment_p9_moved_psm());
+    let base = run(&mp3::three_segment_psm());
+    let moved = run(&mp3::three_segment_p9_moved_psm());
     let t0 = base.execution_time().as_micros_f64();
     let t1 = moved.execution_time().as_micros_f64();
     assert!(
@@ -117,8 +120,8 @@ fn fewer_segments_reduce_parallelism() {
     // The paper skips printing the 1- and 2-segment results but the point
     // of segmentation is parallel transactions: the 1-segment run must not
     // beat the 3-segment run.
-    let r1 = Emulator::default().run(&mp3::one_segment_psm());
-    let r3 = Emulator::default().run(&mp3::three_segment_psm());
+    let r1 = run(&mp3::one_segment_psm());
+    let r3 = run(&mp3::three_segment_psm());
     let t1 = r1.execution_time().as_micros_f64();
     let t3 = r3.execution_time().as_micros_f64();
     eprintln!("1 segment: {t1:.2} µs, 3 segments: {t3:.2} µs");

@@ -1,13 +1,16 @@
-//! Pipelined multi-frame execution (`Emulator::run_frames`): successive
+//! Pipelined multi-frame execution (`Engine::try_run_frames`): successive
 //! frames of the application stream through the wave schedule.
 
 use segbus_apps::mp3;
-use segbus_core::{Emulator, EmulatorConfig};
+use segbus_core::{EmulatorConfig, Engine};
 use segbus_model::ids::SegmentId;
 use segbus_model::mapping::{Allocation, Psm};
 use segbus_model::platform::Platform;
 use segbus_model::psdf::{Application, Flow, Process};
 use segbus_model::time::ClockDomain;
+
+mod common;
+use common::{estimate, run};
 
 fn pipeline3() -> Psm {
     let mut app = Application::new("p3");
@@ -31,8 +34,8 @@ fn pipeline3() -> Psm {
 #[test]
 fn one_frame_equals_plain_run() {
     for psm in [pipeline3(), mp3::three_segment_psm()] {
-        let plain = Emulator::default().run(&psm);
-        let framed = Emulator::default().run_frames(&psm, 1);
+        let plain = Engine::default().try_run(&psm).unwrap();
+        let framed = estimate(EmulatorConfig::default(), &psm, 1);
         assert_eq!(plain.makespan, framed.makespan);
         assert_eq!(plain.sas, framed.sas);
         assert_eq!(plain.ca, framed.ca);
@@ -45,7 +48,7 @@ fn one_frame_equals_plain_run() {
 fn frames_conserve_packages() {
     let psm = mp3::three_segment_psm();
     let frames = 4;
-    let r = Emulator::default().run_frames(&psm, frames);
+    let r = estimate(EmulatorConfig::default(), &psm, frames);
     assert!(r.all_flags_raised());
     let per_frame: u64 = psm
         .application()
@@ -69,9 +72,9 @@ fn pipelining_beats_serial_execution() {
     // N pipelined frames must finish well before N sequential single-frame
     // runs would (the pipeline overlaps stages of adjacent frames).
     let psm = pipeline3();
-    let t1 = Emulator::default().run(&psm).makespan.0;
+    let t1 = run(&psm).makespan.0;
     for frames in [2u64, 4, 8] {
-        let tn = Emulator::default().run_frames(&psm, frames).makespan.0;
+        let tn = estimate(EmulatorConfig::default(), &psm, frames).makespan.0;
         assert!(tn < frames * t1, "frames={frames}: {tn} !< {}", frames * t1);
         // ... but cannot beat the bottleneck-stage bound.
         assert!(tn >= t1, "at least one full frame latency");
@@ -79,8 +82,8 @@ fn pipelining_beats_serial_execution() {
     // Steady-state throughput: the increment per extra frame approaches
     // the bottleneck stage time (compute 100 + transfer 40 per package,
     // two stages sharing one bus => >= 140 ticks per frame).
-    let t8 = Emulator::default().run_frames(&psm, 8).makespan.0;
-    let t9 = Emulator::default().run_frames(&psm, 9).makespan.0;
+    let t8 = estimate(EmulatorConfig::default(), &psm, 8).makespan.0;
+    let t9 = estimate(EmulatorConfig::default(), &psm, 9).makespan.0;
     let inc = t9 - t8;
     assert!(inc >= 140 * 10_000, "increment {inc}");
     assert!(
@@ -92,8 +95,8 @@ fn pipelining_beats_serial_execution() {
 #[test]
 fn mp3_streaming_throughput_improves_with_pipelining() {
     let psm = mp3::three_segment_psm();
-    let t1 = Emulator::default().run(&psm).makespan.0 as f64;
-    let t8 = Emulator::default().run_frames(&psm, 8).makespan.0 as f64;
+    let t1 = run(&psm).makespan.0 as f64;
+    let t8 = estimate(EmulatorConfig::default(), &psm, 8).makespan.0 as f64;
     let speedup = 8.0 * t1 / t8;
     // The MP3 graph has parallel channel chains; pipelining across frames
     // must buy a real speedup over back-to-back decoding.
@@ -105,13 +108,15 @@ fn mp3_streaming_throughput_improves_with_pipelining() {
 fn traced_streaming_counts_every_wave_instance() {
     let psm = pipeline3();
     let cfg = EmulatorConfig::traced();
-    let r = Emulator::new(cfg).run_frames(&psm, 3);
+    let r = estimate(cfg, &psm, 3);
     let waves = segbus_core::wave_boundaries(&r);
     assert_eq!(waves.len(), 3 * 2, "2 waves × 3 frames");
 }
 
 #[test]
-#[should_panic(expected = "at least one frame")]
 fn zero_frames_rejected() {
-    let _ = Emulator::default().run_frames(&pipeline3(), 0);
+    let e = Engine::default()
+        .try_run_frames(&pipeline3(), 0)
+        .unwrap_err();
+    assert_eq!(e.code, "C001", "{e}");
 }

@@ -325,7 +325,7 @@ impl HopState {
 mod tests {
     use super::*;
     use segbus_apps::generators::{random_layered, GeneratorConfig};
-    use segbus_core::{Emulator, Engine};
+    use segbus_core::Engine;
     use segbus_model::platform::{Platform, Topology};
     use segbus_model::rng::SmallRng;
     use segbus_model::time::ClockDomain;
@@ -422,7 +422,7 @@ mod tests {
             let patched = patch.run(&mut engine);
             let fresh_psm =
                 Psm::new(platform.clone(), app.clone(), alloc).expect("walk stays feasible");
-            let fresh = Emulator::new(EmulatorConfig::default()).run(&fresh_psm);
+            let fresh = Engine::default().try_run(&fresh_psm).unwrap();
             assert_eq!(patched, fresh.makespan.0, "step {step}");
             assert_eq!(
                 format!("{:?}", patch.report()),

@@ -924,8 +924,9 @@ mod tests {
         let platform = two_segment_platform();
         let tool = PlaceTool::new(&app, 2).with_makespan(&platform);
         let alloc = Allocation::from_groups(&[&[0, 1, 2], &[3, 4, 5]]);
-        let reference = segbus_core::Emulator::default()
-            .run(&Psm::new(platform.clone(), app.clone(), alloc.clone()).unwrap())
+        let reference = segbus_core::Engine::default()
+            .try_run(&Psm::new(platform.clone(), app.clone(), alloc.clone()).unwrap())
+            .unwrap()
             .makespan
             .0;
         assert_eq!(tool.cost(&alloc), reference);

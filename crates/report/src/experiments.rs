@@ -5,7 +5,7 @@
 
 use segbus_apps::mp3;
 use segbus_core::config::ProducerRelease;
-use segbus_core::{Emulator, EmulatorConfig};
+use segbus_core::{EmulationReport, EmulatorConfig, Engine};
 use segbus_model::ids::ProcessId;
 use segbus_model::mapping::Psm;
 use segbus_model::matrix::CommMatrix;
@@ -21,14 +21,26 @@ pub const PAPER_ESTIMATED_US: [f64; 3] = [489.79, 560.16, 540.4];
 /// Paper §4: actual (real platform) execution times (µs).
 pub const PAPER_ACTUAL_US: [f64; 3] = [515.2, 600.02, 570.12];
 
+/// Estimate `frames` frames of a model an experiment builds valid.
+fn estimate_with(config: EmulatorConfig, psm: &Psm, frames: u64) -> EmulationReport {
+    Engine::new(config)
+        .try_run_frames(psm, frames)
+        .expect("experiment models are valid")
+}
+
+/// Estimate one frame of a valid model under the default configuration.
+fn estimate(psm: &Psm) -> EmulationReport {
+    estimate_with(EmulatorConfig::default(), psm, 1)
+}
+
 /// E1 / Fig. 8 — the communication matrix of the MP3 decoder.
 pub fn fig8_matrix() -> CommMatrix {
     CommMatrix::from_application(&mp3::mp3_decoder())
 }
 
 /// E2 — the full 3-segment emulation print-out, paper style.
-pub fn threeseg_report() -> segbus_core::EmulationReport {
-    Emulator::new(EmulatorConfig::traced()).run(&mp3::three_segment_psm())
+pub fn threeseg_report() -> EmulationReport {
+    estimate_with(EmulatorConfig::traced(), &mp3::three_segment_psm(), 1)
 }
 
 /// E3 / Fig. 10 — `(process, start µs, end µs)` timeline rows.
@@ -48,8 +60,8 @@ pub fn fig10_timeline() -> Table {
 /// E4 / Fig. 11 — per-element activity (busy ticks and TCT) at package
 /// sizes 18 and 36.
 pub fn fig11_activity() -> Table {
-    let r36 = Emulator::default().run(&mp3::three_segment_psm());
-    let r18 = Emulator::default().run(
+    let r36 = estimate(&mp3::three_segment_psm());
+    let r18 = estimate(
         &mp3::three_segment_psm()
             .with_package_size(18)
             .expect("valid size"),
@@ -129,7 +141,7 @@ pub fn accuracy_rows() -> Vec<AccuracyRow> {
         .into_iter()
         .enumerate()
         .map(|(i, (config, psm))| {
-            let est = Emulator::default().run(&psm).execution_time();
+            let est = estimate(&psm).execution_time();
             let act = RtlSimulator::default()
                 .run(&psm)
                 .expect("reference run completes")
@@ -198,7 +210,7 @@ pub fn segment_comparison() -> Table {
     ];
     let mut t = Table::new(["config", "est_us", "inter_seg_packages", "ca_grants"]);
     for (name, psm) in configs {
-        let r = Emulator::default().run(&psm);
+        let r = estimate(&psm);
         t.row([
             name.to_string(),
             format!("{:.2}", r.execution_time().as_micros_f64()),
@@ -232,7 +244,7 @@ pub fn placement_comparison() -> Table {
     ] {
         let cut = alloc.package_cut(&app, 36);
         let psm = Psm::new(platform.clone(), app.clone(), alloc).expect("valid");
-        let r = Emulator::default().run(&psm);
+        let r = estimate(&psm);
         t.row([
             name.to_string(),
             cut.to_string(),
@@ -265,7 +277,7 @@ pub fn placement_two_segments() -> Table {
     ] {
         let cut = alloc.package_cut(&app, 36);
         let psm = Psm::new(platform.clone(), app.clone(), alloc).expect("valid");
-        let r = Emulator::default().run(&psm);
+        let r = estimate(&psm);
         t.row([
             name.to_string(),
             cut.to_string(),
@@ -287,7 +299,8 @@ pub fn package_size_sweep(sizes: &[u32]) -> Table {
         })
         .collect();
     let reports = segbus_core::SweepPool::new(EmulatorConfig::default()).sweep(&psms);
-    for ((&s, psm), r) in sizes.iter().zip(&psms).zip(&reports) {
+    for ((&s, psm), r) in sizes.iter().zip(&psms).zip(reports) {
+        let r = r.expect("experiment models are valid");
         t.row([
             s.to_string(),
             format!("{:.2}", r.execution_time().as_micros_f64()),
@@ -317,14 +330,8 @@ pub fn cost_model_ablation() -> Table {
         let alloc = mp3::three_segment_allocation();
         let p36 = Psm::new(platform.clone(), app.clone(), alloc.clone()).expect("valid");
         let p18 = p36.with_package_size(18).expect("valid");
-        let t36 = Emulator::default()
-            .run(&p36)
-            .execution_time()
-            .as_micros_f64();
-        let t18 = Emulator::default()
-            .run(&p18)
-            .execution_time()
-            .as_micros_f64();
+        let t36 = estimate(&p36).execution_time().as_micros_f64();
+        let t18 = estimate(&p18).execution_time().as_micros_f64();
         t.row([
             name.to_string(),
             format!("{t36:.2}"),
@@ -359,7 +366,8 @@ pub fn clock_sensitivity(factors: &[f64]) -> Table {
         })
         .collect();
     let reports = segbus_core::SweepPool::new(EmulatorConfig::default()).sweep(&psms);
-    for (&f, r) in factors.iter().zip(&reports) {
+    for (&f, r) in factors.iter().zip(reports) {
+        let r = r.expect("experiment models are valid");
         t.row([
             format!("{f:.2}"),
             format!("{:.2}", r.execution_time().as_micros_f64()),
@@ -377,18 +385,15 @@ pub fn release_policy_ablation() -> Table {
     ];
     let mut t = Table::new(["config", "after_delivery_us", "after_local_us", "speedup"]);
     for (name, psm) in configs {
-        let slow = Emulator::new(EmulatorConfig {
-            producer_release: ProducerRelease::AfterDelivery,
-            ..EmulatorConfig::default()
-        })
-        .run(&psm)
-        .execution_time();
-        let fast = Emulator::new(EmulatorConfig {
-            producer_release: ProducerRelease::AfterLocalPhase,
-            ..EmulatorConfig::default()
-        })
-        .run(&psm)
-        .execution_time();
+        let release = |producer_release| {
+            let config = EmulatorConfig {
+                producer_release,
+                ..EmulatorConfig::default()
+            };
+            estimate_with(config, &psm, 1).execution_time()
+        };
+        let slow = release(ProducerRelease::AfterDelivery);
+        let fast = release(ProducerRelease::AfterLocalPhase);
         t.row([
             name.to_string(),
             format!("{:.2}", slow.as_micros_f64()),
@@ -412,7 +417,7 @@ pub fn application_library() -> Table {
     ] {
         for segments in 1..=3usize {
             let psm = segbus_apps::library::on_paper_platform(app.clone(), segments);
-            let est = Emulator::default().run(&psm).execution_time();
+            let est = estimate(&psm).execution_time();
             let act = RtlSimulator::default()
                 .run(&psm)
                 .expect("reference run completes")
@@ -449,7 +454,7 @@ pub fn energy_comparison() -> Table {
     ];
     let mut t = Table::new(["config", "total_uj", "compute_uj", "comm_fraction"]);
     for (name, psm) in configs {
-        let r = Emulator::default().run(&psm);
+        let r = estimate(&psm);
         let e = estimate_energy(&r, &model);
         let compute: f64 = e.fu_pj.iter().sum::<f64>() / 1e6;
         t.row([
@@ -500,8 +505,8 @@ pub fn topology_comparison() -> Table {
             alloc,
         )
         .expect("valid");
-        let tl = Emulator::default().run(&linear).execution_time();
-        let tr = Emulator::default().run(&ring).execution_time();
+        let tl = estimate(&linear).execution_time();
+        let tr = estimate(&ring).execution_time();
         t.row([
             workers.to_string(),
             format!("{:.2}", tl.as_micros_f64()),
@@ -552,7 +557,7 @@ pub fn arbitration_comparison() -> Table {
             arbitration: policy,
             ..EmulatorConfig::default()
         };
-        let r = Emulator::new(cfg).run(&psm);
+        let r = estimate_with(cfg, &psm, 1);
         let ends: Vec<f64> = (0..3)
             .map(|i| r.fus[i].end.expect("producers ran").as_micros_f64())
             .collect();
@@ -570,7 +575,7 @@ pub fn arbitration_comparison() -> Table {
 }
 
 /// A12 — streaming extension: pipelined multi-frame execution. The paper
-/// emulates one decoded frame; `Emulator::run_frames` streams `N` frames
+/// emulates one decoded frame; `Engine::try_run_frames` streams `N` frames
 /// through the wave schedule and measures throughput.
 pub fn streaming_throughput() -> Table {
     let mut t = Table::new([
@@ -587,9 +592,11 @@ pub fn streaming_throughput() -> Table {
             segbus_apps::library::on_paper_platform(segbus_apps::library::jpeg_encoder(), 3),
         ),
     ] {
-        let t1 = Emulator::default().run(&psm).makespan.0 as f64;
+        let t1 = estimate(&psm).makespan.0 as f64;
         for frames in [1u64, 2, 4, 8, 16] {
-            let tn = Emulator::default().run_frames(&psm, frames).makespan.0 as f64;
+            let tn = estimate_with(EmulatorConfig::default(), &psm, frames)
+                .makespan
+                .0 as f64;
             t.row([
                 name.to_string(),
                 frames.to_string(),

@@ -28,11 +28,11 @@
 //!
 //! ```
 //! use segbus_apps::mp3;
-//! use segbus_core::Emulator;
+//! use segbus_core::Engine;
 //! use segbus_rtl::RtlSimulator;
 //!
 //! let psm = mp3::three_segment_psm();
-//! let estimated = Emulator::default().run(&psm).execution_time();
+//! let estimated = Engine::default().try_run(&psm).unwrap().execution_time();
 //! let actual = RtlSimulator::default().run(&psm).unwrap().execution_time();
 //! let accuracy = estimated.0 as f64 / actual.0 as f64;
 //! assert!(accuracy > 0.85 && accuracy < 1.0);

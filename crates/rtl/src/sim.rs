@@ -44,6 +44,8 @@ pub enum RtlError {
         /// The offending [`RtlConfig`] field.
         field: &'static str,
     },
+    /// The run was asked for zero frames.
+    NoFrames,
 }
 
 impl std::fmt::Display for RtlError {
@@ -58,6 +60,7 @@ impl std::fmt::Display for RtlError {
                     "invalid reference-simulator configuration: {field} must be at least 1"
                 )
             }
+            RtlError::NoFrames => write!(f, "frame count must be non-zero"),
         }
     }
 }
@@ -87,19 +90,19 @@ impl RtlSimulator {
     }
 
     /// Simulate `frames` pipelined iterations of the application (the
-    /// streaming counterpart of [`segbus_core::Emulator::run_frames`]).
+    /// streaming counterpart of [`segbus_core::Engine::try_run_frames`]).
     ///
-    /// Returns [`RtlError::InvalidConfig`] if `sa_grant_ticks`,
+    /// Returns [`RtlError::NoFrames`] if `frames` is zero, and
+    /// [`RtlError::InvalidConfig`] if `sa_grant_ticks`,
     /// `master_response_ticks`, `detect_ticks` or `grant_reset_ticks` is
     /// zero: each is the length of an SA protocol state, which lasts at
     /// least one tick. The same holds for `sync_ticks`: without a
     /// synchroniser stage a cross-domain message would become visible in
     /// the instant it is sent.
-    ///
-    /// # Panics
-    /// Panics if `frames` is zero.
     pub fn run_frames(&self, psm: &Psm, frames: u64) -> Result<EmulationReport, RtlError> {
-        assert!(frames > 0, "at least one frame");
+        if frames == 0 {
+            return Err(RtlError::NoFrames);
+        }
         let cfg = &self.config;
         for (field, ticks) in [
             ("sa_grant_ticks", cfg.sa_grant_ticks),
@@ -1191,7 +1194,7 @@ mod tests {
     #[test]
     fn rtl_is_slower_than_estimator_locally() {
         let psm = local_pair();
-        let est = segbus_core::Emulator::default().run(&psm);
+        let est = segbus_core::Engine::default().try_run(&psm).unwrap();
         let rtl = RtlSimulator::default().run(&psm).unwrap();
         assert!(
             rtl.execution_time() > est.execution_time(),
@@ -1206,7 +1209,7 @@ mod tests {
     #[test]
     fn remote_pair_structure_matches_estimator() {
         let psm = remote_pair(5 * 36, 2, 0, 1);
-        let est = segbus_core::Emulator::default().run(&psm);
+        let est = segbus_core::Engine::default().try_run(&psm).unwrap();
         let rtl = RtlSimulator::default().run(&psm).unwrap();
         assert_eq!(rtl.bus[0].received_from_left, est.bus[0].received_from_left);
         assert_eq!(
@@ -1301,6 +1304,15 @@ mod tests {
     }
 
     #[test]
+    fn zero_frames_is_a_typed_error() {
+        let err = RtlSimulator::default()
+            .run_frames(&local_pair(), 0)
+            .unwrap_err();
+        assert_eq!(err, RtlError::NoFrames);
+        assert_eq!(err.to_string(), "frame count must be non-zero");
+    }
+
+    #[test]
     fn empty_application_is_immediately_quiescent() {
         let mut app = Application::new("empty");
         let a = app.add_process(Process::new("A"));
@@ -1331,7 +1343,7 @@ mod tests {
             .build()
             .unwrap();
         let psm = Psm::new(ring, app, alloc).unwrap();
-        let est = segbus_core::Emulator::default().run(&psm);
+        let est = segbus_core::Engine::default().try_run(&psm).unwrap();
         let act = RtlSimulator::default().run(&psm).unwrap();
         assert_eq!(act.bus[2].received_from_left, 3);
         assert_eq!(act.bus[2].transferred_to_right, 3);

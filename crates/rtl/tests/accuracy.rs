@@ -12,12 +12,12 @@
 //!   package, the less impact of these figures should be observed").
 
 use segbus_apps::mp3;
-use segbus_core::Emulator;
+use segbus_core::Engine;
 use segbus_model::mapping::Psm;
 use segbus_rtl::RtlSimulator;
 
 fn accuracy(psm: &Psm) -> (f64, f64, f64) {
-    let est = Emulator::default().run(psm).execution_time();
+    let est = Engine::default().try_run(psm).unwrap().execution_time();
     let act = RtlSimulator::default()
         .run(psm)
         .expect("reference run completes")
@@ -79,7 +79,7 @@ fn p9_move_slows_both_engines() {
 fn reference_structure_matches_estimator_on_mp3() {
     // Same protocol-level package movement in both engines.
     let psm = mp3::three_segment_psm();
-    let est = Emulator::default().run(&psm);
+    let est = Engine::default().try_run(&psm).unwrap();
     let act = RtlSimulator::default().run(&psm).unwrap();
     assert_eq!(act.bus[0].received_from_left, 32);
     assert_eq!(act.bus[0].transferred_to_right, 32);
@@ -99,7 +99,7 @@ fn reference_structure_matches_estimator_on_mp3() {
 fn streaming_accuracy_band() {
     let psm = mp3::three_segment_psm();
     let frames = 4;
-    let est = Emulator::default().run_frames(&psm, frames);
+    let est = Engine::default().try_run_frames(&psm, frames).unwrap();
     let act = RtlSimulator::default()
         .run_frames(&psm, frames)
         .expect("reference streaming completes");

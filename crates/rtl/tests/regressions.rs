@@ -1,6 +1,6 @@
 //! Minimal models that once broke the reference simulator.
 
-use segbus_core::Emulator;
+use segbus_core::Engine;
 use segbus_rtl::RtlSimulator;
 
 /// More than 2^20 inter-segment packages from one segment. Transfer ids
@@ -12,7 +12,7 @@ use segbus_rtl::RtlSimulator;
 fn more_than_two_to_the_twenty_inter_segment_packages() {
     let psm = segbus_dsl::parse_system(include_str!("models/tid_overflow.sbd"))
         .expect("regression model parses");
-    let est = Emulator::default().run(&psm);
+    let est = Engine::default().try_run(&psm).unwrap();
     let rtl = RtlSimulator::default()
         .run(&psm)
         .expect("reference run completes");

@@ -11,8 +11,7 @@
 //! order after a `hello {"in_order": true}` handshake — see [`server`]
 //! for the full ordering contract). Every model travels the same typed
 //! pipeline as the CLI — parse (DSL or XML), validate, engine pre-flight
-//! ([`segbus_core::Engine::try_run_frames`], never the panicking path) —
-//! so a service client sees exactly the `P/X/M/V/C` diagnostics `segbus
+//! ([`segbus_core::Engine::try_run_frames`]) — so a service client sees exactly the `P/X/M/V/C` diagnostics `segbus
 //! emulate` prints, plus the `S0xx` protocol codes. With
 //! [`ServeOptions::cache_dir`] set, the report cache is backed by the
 //! persistent [`segbus_core::DiskStore`] and warm-starts across restarts.

@@ -9,7 +9,7 @@
 
 use segbus::apps::mp3;
 use segbus::codegen::{rust_emit, vhdl, SystemSchedule};
-use segbus::emu::Emulator;
+use segbus::emu::Engine;
 
 fn main() {
     let psm = mp3::three_segment_psm();
@@ -17,7 +17,9 @@ fn main() {
 
     // The schedule is the static counterpart of the emulation: it must
     // predict the emulator's counters exactly.
-    let report = Emulator::default().run(&psm);
+    let report = Engine::default()
+        .try_run(&psm)
+        .expect("the MP3 model is valid");
     println!("schedule cross-check against the emulator:");
     for i in 0..schedule.segment_count() {
         let seg = segbus::model::SegmentId(i as u16);

@@ -11,7 +11,7 @@
 //! ```
 
 use segbus::dsl;
-use segbus::emu::Emulator;
+use segbus::emu::Engine;
 use segbus::xml::{import, m2t, parse};
 
 const SOURCE: &str = r#"
@@ -73,7 +73,9 @@ fn main() {
     );
 
     // (5) Emulate.
-    let report = Emulator::default().run(&system);
+    let report = Engine::default()
+        .try_run(&system)
+        .expect("the imported system is valid");
     println!("--- emulation of the imported system ---");
     println!(
         "estimated execution time: {:.2} us",

@@ -7,11 +7,11 @@
 //! ```
 
 use segbus::apps::mp3;
-use segbus::emu::Emulator;
+use segbus::emu::{EmulatorConfig, Engine};
 use segbus::rtl::RtlSimulator;
 
 fn main() {
-    let emulator = Emulator::default();
+    let mut engine = Engine::default();
     let reference = RtlSimulator::default();
 
     println!("=== MP3 decoder on the SegBus platform (paper section 4) ===\n");
@@ -22,7 +22,7 @@ fn main() {
         ("two segments", mp3::two_segment_psm()),
         ("three segments", mp3::three_segment_psm()),
     ] {
-        let r = emulator.run(&psm);
+        let r = engine.try_run(&psm).expect("the MP3 models are valid");
         println!(
             "{name:>14}: estimated {:.2} us  ({} packages cross BUs, {} CA grants)",
             r.execution_time().as_micros_f64(),
@@ -44,7 +44,10 @@ fn main() {
         ("3 segments, P9 on seg3", mp3::three_segment_p9_moved_psm()),
     ];
     for (name, psm) in experiments {
-        let est = emulator.run(&psm).execution_time();
+        let est = engine
+            .try_run(&psm)
+            .expect("the MP3 models are valid")
+            .execution_time();
         let act = reference
             .run(&psm)
             .expect("reference run completes")
@@ -59,8 +62,9 @@ fn main() {
 
     // The full paper-style print-out of the 3-segment run.
     println!("\n--- three-segment results, paper style ---");
-    let report =
-        Emulator::new(segbus::emu::EmulatorConfig::traced()).run(&mp3::three_segment_psm());
+    let report = Engine::new(EmulatorConfig::traced())
+        .try_run(&mp3::three_segment_psm())
+        .expect("the MP3 model is valid");
     print!("{}", report.paper_style());
 
     // The BU bottleneck analysis.

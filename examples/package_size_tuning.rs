@@ -23,7 +23,11 @@ fn main() {
         .collect();
 
     // One emulation per package size, fanned out over worker threads.
-    let reports: Vec<EmulationReport> = SweepPool::new(EmulatorConfig::default()).sweep(&psms);
+    let reports: Vec<EmulationReport> = SweepPool::new(EmulatorConfig::default())
+        .sweep(&psms)
+        .into_iter()
+        .map(|r| r.expect("every package size is valid"))
+        .collect();
 
     println!("package-size sweep — MP3 decoder, 3 segments (Fig. 9 allocation)\n");
     println!(

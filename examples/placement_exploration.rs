@@ -8,7 +8,7 @@
 //! ```
 
 use segbus::apps::generators::{random_layered, GeneratorConfig};
-use segbus::emu::Emulator;
+use segbus::emu::Engine;
 use segbus::model::prelude::*;
 use segbus::place::{Objective, PlaceTool};
 
@@ -31,7 +31,7 @@ fn main() {
         app.total_items()
     );
 
-    let emulator = Emulator::default();
+    let mut engine = Engine::default();
     let mut results: Vec<(usize, u64, f64)> = Vec::new();
 
     for segments in 2..=4 {
@@ -53,7 +53,7 @@ fn main() {
         let platform = builder.build().expect("valid platform");
         let psm = Psm::new(platform, app.clone(), placement.allocation.clone())
             .expect("PlaceTool output validates");
-        let report = emulator.run(&psm);
+        let report = engine.try_run(&psm).expect("PlaceTool output emulates");
         println!(
             "{segments} segments: package cut {:4}, estimated {:.2} us, CA grants {}",
             placement.cost,

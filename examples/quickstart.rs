@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use segbus::emu::{Emulator, EmulatorConfig};
+use segbus::emu::{EmulatorConfig, Engine};
 use segbus::model::prelude::*;
 
 fn main() {
@@ -38,7 +38,9 @@ fn main() {
 
     // 4. Validate everything into a PSM and emulate.
     let psm = Psm::new(platform, app, alloc).expect("model validates");
-    let report = Emulator::new(EmulatorConfig::traced()).run(&psm);
+    let report = Engine::new(EmulatorConfig::traced())
+        .try_run(&psm)
+        .expect("the model is valid");
 
     println!("=== quickstart emulation ===");
     println!(

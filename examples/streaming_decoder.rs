@@ -7,11 +7,11 @@
 //! ```
 
 use segbus::apps::mp3;
-use segbus::emu::Emulator;
+use segbus::emu::Engine;
 
 fn main() {
     let psm = mp3::three_segment_psm();
-    let emulator = Emulator::default();
+    let mut engine = Engine::default();
 
     println!("streaming MP3 decode on the 3-segment platform (Fig. 9)\n");
     println!(
@@ -19,10 +19,15 @@ fn main() {
         "frames", "makespan_us", "us_per_frame", "frames_ms", "speedup"
     );
 
-    let t1 = emulator.run(&psm).makespan.0 as f64;
+    let mut run = |frames| {
+        engine
+            .try_run_frames(&psm, frames)
+            .expect("the MP3 model is valid")
+    };
+    let t1 = run(1).makespan.0 as f64;
     let mut prev = 0.0f64;
     for frames in [1u64, 2, 4, 8, 16, 32] {
-        let report = emulator.run_frames(&psm, frames);
+        let report = run(frames);
         assert!(report.all_flags_raised());
         let tn = report.makespan.0 as f64;
         let per_frame = tn / frames as f64;

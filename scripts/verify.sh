@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the repo must build and test clean, fully offline.
 #
-#   scripts/verify.sh          # build (offline) + release build + full test suite
+#   scripts/verify.sh          # build (offline) + release build + segbench check
+#                              # + full test suite
 #
 # The --offline build is the dependency-trim guard: the workspace must
 # compile with no registry access and no vendored third-party crates.
@@ -13,6 +14,9 @@ cargo build --offline
 
 echo "== cargo build --release =="
 cargo build --release
+
+echo "== cargo check segbench (it calls the engine API) =="
+cargo check --offline --manifest-path segbench/Cargo.toml --all-targets
 
 echo "== cargo test --workspace =="
 cargo test --workspace -q

@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use segbus_core::{BatchJob, CachedPool, Emulator, EmulatorConfig, SweepPool};
+use segbus_core::{BatchJob, CachedPool, EmulatorConfig, Engine, SweepPool};
 use segbus_dsl as dsl;
 use segbus_model::mapping::Psm;
 use segbus_model::validate::{validate, Severity};
@@ -323,7 +323,7 @@ fn cmd_emulate(args: &[String]) -> Result<String, CliError> {
             psm.application().process_count() as u32,
         )
         .map_err(|e| fail(format!("--trace-out {sbt}: {e}")))?;
-        let report = segbus_core::Engine::new(config)
+        let report = Engine::new(config)
             .try_run_frames_with_sink(&psm, frames, &mut writer)
             .map_err(|e| fail(format!("{path}: {e}")))?;
         let events = writer
@@ -333,7 +333,7 @@ fn cmd_emulate(args: &[String]) -> Result<String, CliError> {
         let _ = writeln!(out, "\ntrace: {events} events written to {sbt}");
         return Ok(out);
     }
-    let report = Emulator::new(config)
+    let report = Engine::new(config)
         .try_run_frames(&psm, frames)
         .map_err(|e| fail(format!("{path}: {e}")))?;
     let mut out = report.paper_style();
@@ -366,7 +366,7 @@ fn cmd_accuracy(args: &[String]) -> Result<String, CliError> {
         ));
     };
     let psm = apply_package_size(load_psm(path)?, &opts)?;
-    let est = Emulator::default()
+    let est = Engine::default()
         .try_run(&psm)
         .map_err(|e| fail(format!("{path}: {e}")))?
         .execution_time();
@@ -415,7 +415,7 @@ fn cmd_import(args: &[String]) -> Result<String, CliError> {
     let psm_doc =
         segbus_xml::parse(&read_file(psm_path)?).map_err(|e| fail(format!("{psm_path}: {e}")))?;
     let psm = import::import_system(&psdf, &psm_doc).map_err(|e| fail(e.to_string()))?;
-    let report = Emulator::default()
+    let report = Engine::default()
         .try_run(&psm)
         .map_err(|e| fail(format!("{psm_path}: {e}")))?;
     Ok(format!(
@@ -671,12 +671,10 @@ fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
         .iter()
         .map(|&s| base.with_package_size(s).map_err(|e| fail(e.to_string())))
         .collect::<Result<_, _>>()?;
-    for psm in &psms {
-        precheck(psm, 1, path)?;
-    }
     let reports = SweepPool::new(EmulatorConfig::default()).sweep(&psms);
     let mut out = format!("{:>8} {:>12}\n", "size", "est_us");
-    for (s, r) in sizes.iter().zip(&reports) {
+    for (s, r) in sizes.iter().zip(reports) {
+        let r = r.map_err(|e| fail(format!("{path}: {e}")))?;
         let _ = writeln!(out, "{s:>8} {:>12.2}", r.execution_time().as_micros_f64());
     }
     Ok(out)
@@ -1135,7 +1133,7 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
     if frames == 0 {
         return Err(fail("--frames must be at least 1"));
     }
-    let report = Emulator::new(EmulatorConfig::traced())
+    let report = Engine::new(EmulatorConfig::traced())
         .try_run_frames(&psm, frames)
         .map_err(|e| fail(format!("{path}: {e}")))?;
     let mut out = String::new();
@@ -1277,7 +1275,7 @@ fn cmd_gantt(args: &[String]) -> Result<String, CliError> {
     if width == 0 {
         return Err(fail("--width must be positive"));
     }
-    let report = Emulator::new(EmulatorConfig::traced())
+    let report = Engine::new(EmulatorConfig::traced())
         .try_run(&psm)
         .map_err(|e| fail(format!("{path}: {e}")))?;
     Ok(segbus_core::ascii_gantt(&report, width))
@@ -1289,7 +1287,7 @@ fn cmd_vcd(args: &[String]) -> Result<String, CliError> {
         return Err(fail("usage: segbus vcd <model.sbd> [--package-size N]"));
     };
     let psm = apply_package_size(load_psm(path)?, &opts)?;
-    let report = Emulator::new(EmulatorConfig::traced())
+    let report = Engine::new(EmulatorConfig::traced())
         .try_run(&psm)
         .map_err(|e| fail(format!("{path}: {e}")))?;
     segbus_core::to_vcd(&report).map_err(|e| fail(format!("{path}: {e}")))

@@ -144,7 +144,7 @@ fn display_format_is_stable() {
 #[test]
 fn engine_preflight_rejects_zero_frames_as_c001() {
     let psm = segbus_dsl::parse_system(VALID_DSL).unwrap();
-    let e = segbus_core::Emulator::default()
+    let e = segbus_core::Engine::default()
         .try_run_frames(&psm, 0)
         .unwrap_err();
     assert_eq!(e.code, "C001");
@@ -153,7 +153,7 @@ fn engine_preflight_rejects_zero_frames_as_c001() {
 #[test]
 fn engine_preflight_bounds_absurd_frame_counts_as_c008() {
     let psm = segbus_dsl::parse_system(VALID_DSL).unwrap();
-    let e = segbus_core::Emulator::default()
+    let e = segbus_core::Engine::default()
         .try_run_frames(&psm, u64::MAX)
         .unwrap_err();
     assert_eq!(e.code, "C008");

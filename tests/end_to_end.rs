@@ -4,11 +4,14 @@
 
 use segbus::apps::{generators, mp3};
 use segbus::dsl;
-use segbus::emu::{Emulator, EmulatorConfig};
+use segbus::emu::EmulatorConfig;
 use segbus::model::prelude::*;
 use segbus::place::{Objective, PlaceTool};
 use segbus::rtl::RtlSimulator;
 use segbus::xml::{import, m2t, parse};
+
+mod common;
+use common::{estimate, run};
 
 /// DSL text → PSM → XML schemes → import → identical emulation results.
 #[test]
@@ -24,10 +27,9 @@ fn dsl_to_xml_to_emulation_is_consistent() {
     let psm_doc = parse(&m2t::export_psm(&psm).to_xml_string()).unwrap();
     let from_xml = import::import_system(&psdf, &psm_doc).expect("schemes import");
 
-    let emulator = Emulator::default();
-    let direct = emulator.run(&psm);
-    let via_dsl = emulator.run(&from_dsl);
-    let via_xml = emulator.run(&from_xml);
+    let direct = run(&psm);
+    let via_dsl = run(&from_dsl);
+    let via_xml = run(&from_xml);
     assert_eq!(direct.makespan, via_dsl.makespan);
     assert_eq!(direct.makespan, via_xml.makespan);
     assert_eq!(direct.sas, via_xml.sas);
@@ -53,7 +55,7 @@ fn engines_agree_structurally_across_apps() {
             let alloc = generators::block_allocation(&app, segments);
             let platform = generators::uniform_platform(segments, 36);
             let psm = Psm::new(platform, app.clone(), alloc).expect("valid");
-            let est = Emulator::default().run(&psm);
+            let est = run(&psm);
             let act = RtlSimulator::default()
                 .run(&psm)
                 .unwrap_or_else(|e| panic!("{} on {} segs: {e}", app.name(), segments));
@@ -104,8 +106,8 @@ fn placetool_output_emulates_no_worse_than_round_robin() {
             generators::round_robin_allocation(&app, 3),
         )
         .expect("valid");
-        let t_best = Emulator::default().run(&psm_best).execution_time();
-        let t_rr = Emulator::default().run(&psm_rr).execution_time();
+        let t_best = run(&psm_best).execution_time();
+        let t_rr = run(&psm_rr).execution_time();
         assert!(
             t_best.0 <= t_rr.0 + t_rr.0 / 10,
             "seed {seed}: best {t_best:?} much worse than round-robin {t_rr:?}"
@@ -121,7 +123,7 @@ fn all_runs_end_with_flags_raised_and_conservation() {
         ("2seg", mp3::two_segment_psm()),
         ("3seg", mp3::three_segment_psm()),
     ] {
-        let r = Emulator::new(EmulatorConfig::traced()).run(&psm);
+        let r = estimate(EmulatorConfig::traced(), &psm, 1);
         assert!(r.all_flags_raised());
         let total: u64 = psm
             .application()
@@ -147,7 +149,7 @@ fn facade_paths_compose() {
     let alloc = generators::block_allocation(&app, 2);
     let platform = generators::uniform_platform(2, 36);
     let psm = segbus::model::Psm::new(platform, app, alloc).unwrap();
-    let report = segbus::emu::Emulator::default().run(&psm);
+    let report = segbus::emu::Engine::default().try_run(&psm).unwrap();
     assert!(report.execution_time() > segbus::model::Picos::ZERO);
     let table = segbus::report::fig8_matrix();
     assert_eq!(table.len(), 15);
@@ -176,8 +178,8 @@ fn ring_round_trips_through_dsl_and_xml() {
     assert_eq!(platform.border_unit_count(), 4, "wrap unit survives");
 
     // Both restored systems emulate identically.
-    let direct = Emulator::default().run(&psm);
-    let via_dsl = Emulator::default().run(&from_dsl);
+    let direct = run(&psm);
+    let via_dsl = run(&from_dsl);
     assert_eq!(direct.makespan, via_dsl.makespan);
     assert_eq!(direct.bus, via_dsl.bus);
 }

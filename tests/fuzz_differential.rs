@@ -18,7 +18,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use segbus_core::{EmulationReport, Emulator, EmulatorConfig, ReferenceEmulator};
+use segbus_core::{EmulationReport, EmulatorConfig, Engine, ReferenceEmulator};
 use segbus_model::mapping::Psm;
 use segbus_model::rng::SmallRng;
 use segbus_xml::m2t;
@@ -180,7 +180,7 @@ fn assert_same(a: &EmulationReport, r: &EmulationReport, label: &str) {
 /// same report. Returns the engine's report when accepted.
 fn compare_frames(psm: &Psm, frames: u64, label: &str) -> Option<EmulationReport> {
     let cfg = EmulatorConfig::default();
-    let engine = Emulator::new(cfg).try_run_frames(psm, frames);
+    let engine = Engine::new(cfg).try_run_frames(psm, frames);
     let reference = ReferenceEmulator::new(cfg).try_run_frames(psm, frames);
     match (engine, reference) {
         (Ok(a), Ok(r)) => {

@@ -43,7 +43,7 @@ fn ring_hub_uses_the_wrap_unit() {
     let text = std::fs::read_to_string(model("ring_hub.sbd")).unwrap();
     let psm = segbus::dsl::parse_system(&text).unwrap();
     assert_eq!(psm.platform().topology(), segbus::model::Topology::Ring);
-    let report = segbus::emu::Emulator::default().run(&psm);
+    let report = segbus::emu::Engine::default().try_run(&psm).unwrap();
     // The wrap unit (BU41) carries worker W2's return traffic.
     let wrap = report.bu_refs.last().unwrap();
     assert_eq!(wrap.to_string(), "BU41");

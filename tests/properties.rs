@@ -9,11 +9,14 @@ use segbus::apps::generators::{
     GeneratorConfig,
 };
 use segbus::dsl;
-use segbus::emu::{Emulator, EmulatorConfig};
+use segbus::emu::EmulatorConfig;
 use segbus::model::prelude::*;
 use segbus::model::SmallRng;
 use segbus::rtl::RtlSimulator;
 use segbus::xml::{import, m2t, parse};
+
+mod common;
+use common::{estimate, run};
 
 /// A random but always-valid PSM, described by a handful of scalars so a
 /// failure report stays meaningful.
@@ -90,7 +93,7 @@ fn for_each_system(test_seed: u64, cases: usize, check: impl Fn(&SystemSpec, &Ps
 #[test]
 fn conservation_and_flags() {
     for_each_system(0xC0_0001, 48, |_, psm| {
-        let r = Emulator::default().run(psm);
+        let r = run(psm);
         assert!(r.all_flags_raised());
         let s = psm.platform().package_size();
         let total: u64 = psm
@@ -114,8 +117,8 @@ fn conservation_and_flags() {
 #[test]
 fn estimator_determinism() {
     for_each_system(0xC0_0002, 48, |_, psm| {
-        let a = Emulator::default().run(psm);
-        let b = Emulator::default().run(psm);
+        let a = run(psm);
+        let b = run(psm);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.sas, b.sas);
         assert_eq!(a.ca, b.ca);
@@ -143,7 +146,7 @@ fn makespan_lower_bound() {
             }
             bound += per_producer.values().copied().max().unwrap_or(0);
         }
-        let r = Emulator::default().run(psm);
+        let r = run(psm);
         assert!(
             r.makespan.0 >= bound,
             "makespan {} below compute bound {}",
@@ -159,7 +162,7 @@ fn makespan_lower_bound() {
 #[test]
 fn estimator_underestimates_reference() {
     for_each_system(0xC0_0004, 48, |_, psm| {
-        let est = Emulator::default().run(psm).execution_time();
+        let est = run(psm).execution_time();
         let act = RtlSimulator::default()
             .run(psm)
             .expect("reference simulation completes")
@@ -197,8 +200,8 @@ fn xml_system_round_trip_preserves_results() {
             parse(&m2t::export_psdf(psm.application()).to_xml_string()).expect("psdf parses");
         let psm_doc = parse(&m2t::export_psm(psm).to_xml_string()).expect("psm parses");
         let back = import::import_system(&psdf, &psm_doc).expect("system imports");
-        let a = Emulator::default().run(psm);
-        let b = Emulator::default().run(&back);
+        let a = run(psm);
+        let b = run(&back);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.sas, b.sas);
     });
@@ -220,8 +223,8 @@ fn dsl_round_trip() {
 #[test]
 fn tracing_is_observation_only() {
     for_each_system(0xC0_0008, 48, |_, psm| {
-        let plain = Emulator::default().run(psm);
-        let traced = Emulator::new(EmulatorConfig::traced()).run(psm);
+        let plain = run(psm);
+        let traced = estimate(EmulatorConfig::traced(), psm, 1);
         assert_eq!(plain.makespan, traced.makespan);
         assert_eq!(plain.sas, traced.sas);
         assert_eq!(plain.ca, traced.ca);
@@ -240,8 +243,8 @@ fn streaming_conservation_and_bounds() {
     for_each_system(0xC0_000A, 24, |_, psm| {
         let frames = frames_of[case.get()];
         case.set(case.get() + 1);
-        let single = Emulator::default().run(psm).makespan;
-        let r = Emulator::default().run_frames(psm, frames);
+        let single = run(psm).makespan;
+        let r = estimate(EmulatorConfig::default(), psm, frames);
         assert!(r.all_flags_raised());
         let s = psm.platform().package_size();
         let per_frame: u64 = psm
