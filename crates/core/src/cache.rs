@@ -20,9 +20,14 @@
 //! before emulating — so the cache warm-starts across process restarts.
 //! Disk hits promote back into memory and are counted separately
 //! ([`CacheStats::disk_hits`]).
+//!
+//! The memory tier holds each report as a shared [`CachedReport`]: a hit
+//! hands out another reference instead of a copy, and the report's
+//! paper-style text is rendered at most once while it stays resident.
 
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::{Arc, OnceLock};
 
 use segbus_model::diag::SegbusError;
 use segbus_model::digest::Fnv64;
@@ -131,11 +136,42 @@ impl CacheStats {
     }
 }
 
+/// A report as the memory tier keeps it, with its
+/// [`EmulationReport::paper_style`] text rendered on first use and kept
+/// while the entry is resident. Shared through an `Arc`, so a hit is
+/// answered without copying the report or rendering it again.
+#[derive(Debug)]
+pub struct CachedReport {
+    report: EmulationReport,
+    paper_style: OnceLock<String>,
+}
+
+impl CachedReport {
+    /// Wrap a report; its text is rendered on the first
+    /// [`paper_style`](CachedReport::paper_style) call.
+    pub fn new(report: EmulationReport) -> CachedReport {
+        CachedReport {
+            report,
+            paper_style: OnceLock::new(),
+        }
+    }
+
+    /// The report.
+    pub fn report(&self) -> &EmulationReport {
+        &self.report
+    }
+
+    /// The report's [`EmulationReport::paper_style`] text, rendered once.
+    pub fn paper_style(&self) -> &str {
+        self.paper_style.get_or_init(|| self.report.paper_style())
+    }
+}
+
 const NIL: usize = usize::MAX;
 
 struct Entry {
     key: u64,
-    report: EmulationReport,
+    report: Arc<CachedReport>,
     prev: usize,
     next: usize,
 }
@@ -198,12 +234,12 @@ impl ReportCache {
     }
 
     /// Look `key` up, counting a hit or miss and refreshing recency.
-    pub fn get(&mut self, key: u64) -> Option<EmulationReport> {
+    pub fn get(&mut self, key: u64) -> Option<Arc<CachedReport>> {
         self.touch(key).cloned()
     }
 
-    /// [`ReportCache::get`] without the copy: the resident report.
-    fn touch(&mut self, key: u64) -> Option<&EmulationReport> {
+    /// [`ReportCache::get`] by reference: the resident entry.
+    fn touch(&mut self, key: u64) -> Option<&Arc<CachedReport>> {
         match self.map.get(&key).copied() {
             Some(i) => {
                 self.hits += 1;
@@ -221,7 +257,11 @@ impl ReportCache {
     /// Insert (or refresh) `key`, evicting the least recently used entry
     /// when full. The evicted entry, if any, is returned so a caller with
     /// a persistent tier can spill it instead of dropping it.
-    pub fn insert(&mut self, key: u64, report: EmulationReport) -> Option<(u64, EmulationReport)> {
+    pub fn insert(
+        &mut self,
+        key: u64,
+        report: Arc<CachedReport>,
+    ) -> Option<(u64, Arc<CachedReport>)> {
         if let Some(&i) = self.map.get(&key) {
             self.slab[i].report = report;
             self.detach(i);
@@ -397,7 +437,7 @@ impl CachedPool {
     }
 
     /// Run one job through the cache (a batch of one).
-    pub fn run_one(&mut self, job: &BatchJob) -> Result<EmulationReport, SegbusError> {
+    pub fn run_one(&mut self, job: &BatchJob) -> Result<Arc<CachedReport>, SegbusError> {
         self.run_batch(std::slice::from_ref(job)).pop().unwrap()
     }
 
@@ -409,18 +449,24 @@ impl CachedPool {
     /// emulation loop (the parallel placement search): they consult the
     /// shared tiers first and [`CachedPool::insert`] what they compute.
     pub fn lookup(&mut self, key: u64) -> Option<EmulationReport> {
-        self.lookup_with(key, EmulationReport::clone)
+        self.lookup_with(key, |hit| hit.report().clone())
     }
 
     /// [`CachedPool::lookup`] that reads the hit in place with `view`
-    /// instead of copying it out.
-    fn lookup_with<R>(&mut self, key: u64, view: impl FnOnce(&EmulationReport) -> R) -> Option<R> {
+    /// instead of copying it out. A disk hit is promoted as a fresh
+    /// entry, whose text is rendered again on first use.
+    fn lookup_with<R>(
+        &mut self,
+        key: u64,
+        view: impl FnOnce(&Arc<CachedReport>) -> R,
+    ) -> Option<R> {
         if self.cache.contains(key) {
             return self.cache.touch(key).map(view);
         }
         if let Some(report) = self.disk.as_mut().and_then(|d| d.get(key)) {
             self.cache.hits += 1;
             self.disk_hits += 1;
+            let report = Arc::new(CachedReport::new(report));
             let out = view(&report);
             self.insert_and_spill(key, report);
             return Some(out);
@@ -433,13 +479,13 @@ impl CachedPool {
     /// persistent tier (best-effort) and insert into memory, spilling the
     /// LRU evictee to disk. The counterpart of [`CachedPool::lookup`].
     pub fn insert(&mut self, key: u64, report: &EmulationReport) {
-        self.store(key, report.clone());
+        self.store(key, Arc::new(CachedReport::new(report.clone())));
     }
 
-    /// [`CachedPool::insert`] taking the report by value.
-    fn store(&mut self, key: u64, report: EmulationReport) {
+    /// [`CachedPool::insert`] taking the entry by value.
+    fn store(&mut self, key: u64, report: Arc<CachedReport>) {
         if let Some(disk) = self.disk.as_mut() {
-            let _ = disk.append(key, &report);
+            let _ = disk.append(key, report.report());
         }
         self.insert_and_spill(key, report);
     }
@@ -450,7 +496,7 @@ impl CachedPool {
     /// Duplicates *within* the batch also count as hits: they are answered
     /// from the in-flight first occurrence rather than a fresh emulation,
     /// so only the first occurrence of each digest registers a miss.
-    pub fn run_batch(&mut self, jobs: &[BatchJob]) -> Vec<Result<EmulationReport, SegbusError>> {
+    pub fn run_batch(&mut self, jobs: &[BatchJob]) -> Vec<Result<Arc<CachedReport>, SegbusError>> {
         let keys: Vec<u64> = jobs.iter().map(BatchJob::digest).collect();
         self.run_batch_keyed(jobs, &keys)
     }
@@ -474,7 +520,7 @@ impl CachedPool {
         &mut self,
         jobs: &[BatchJob],
         keys: &[u64],
-    ) -> Vec<Result<EmulationReport, SegbusError>> {
+    ) -> Vec<Result<Arc<CachedReport>, SegbusError>> {
         assert_eq!(jobs.len(), keys.len(), "one cache key per job");
         debug_assert!(jobs.iter().zip(keys).all(|(j, &k)| j.digest() == k));
         // A job whose config differs from the pool default gets a one-off
@@ -490,7 +536,7 @@ impl CachedPool {
                     Engine::new(job.config).try_run_frames(&job.psm, job.frames)
                 }
             },
-            EmulationReport::clone,
+            Arc::clone,
         )
     }
 
@@ -498,13 +544,14 @@ impl CachedPool {
     /// Monte-Carlo estimation. Job `i` is identified by the caller-computed
     /// cache key `keys[i]`; `run(engine, state, i)` emulates it on a pool
     /// worker, with `state` made once per worker by `init`; `view` reads
-    /// what the caller wants from a report.
+    /// what the caller wants from a cache entry.
     ///
     /// Each key is answered from memory, then disk, then by running the
     /// first job that carries it; in-batch duplicates of a miss count as
     /// hits and share its result. A hit is viewed in place. A fresh report
-    /// is viewed on its worker and then moved into the cache (written
-    /// through to disk), so no report is copied on the calling thread.
+    /// is wrapped and viewed on its worker and then moved into the cache
+    /// (written through to disk), so no report is copied on the calling
+    /// thread.
     /// Errors are returned, never cached. Results are in input order and
     /// independent of the pool's thread count.
     pub(crate) fn run_keyed<S, R, I, F, V>(
@@ -518,7 +565,7 @@ impl CachedPool {
         R: Clone + Send,
         I: Fn() -> S + Sync,
         F: Fn(&mut Engine, &mut S, usize) -> Result<EmulationReport, SegbusError> + Sync,
-        V: Fn(&EmulationReport) -> R + Sync,
+        V: Fn(&Arc<CachedReport>) -> R + Sync,
     {
         // Phase 1: resolve hits and collect the distinct misses.
         let mut results: Vec<Option<Result<R, SegbusError>>> =
@@ -546,7 +593,10 @@ impl CachedPool {
         let computed = self
             .pool
             .sweep_with_state(&misses, init, |engine, state, &i| {
-                run(engine, state, i).map(|report| (view(&report), report))
+                run(engine, state, i).map(|report| {
+                    let report = Arc::new(CachedReport::new(report));
+                    (view(&report), report)
+                })
             });
 
         // Phase 3: move successes into the cache (writing through to the
@@ -580,10 +630,10 @@ impl CachedPool {
     /// Insert into the memory tier; an LRU evictee spills to disk so
     /// capacity pressure never discards a computed report (a no-op when
     /// the report is already stored or carries a trace).
-    fn insert_and_spill(&mut self, key: u64, report: EmulationReport) {
+    fn insert_and_spill(&mut self, key: u64, report: Arc<CachedReport>) {
         if let Some((old_key, old_report)) = self.cache.insert(key, report) {
             if let Some(disk) = self.disk.as_mut() {
-                let _ = disk.append(old_key, &old_report);
+                let _ = disk.append(old_key, old_report.report());
             }
         }
     }
@@ -629,8 +679,13 @@ mod tests {
         let first = pool.run_one(&job).unwrap();
         let second = pool.run_one(&job).unwrap();
         let fresh = crate::test_support::estimate(config, &job.psm, 1);
-        assert_same_report(&first, &fresh);
-        assert_same_report(&second, &fresh);
+        assert_same_report(first.report(), &fresh);
+        assert_same_report(second.report(), &fresh);
+        // The hit is the resident entry itself, not a copy, and its text
+        // is rendered once.
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(first.paper_style(), fresh.paper_style());
+        assert_eq!(first.paper_style().as_ptr(), second.paper_style().as_ptr());
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
@@ -644,9 +699,10 @@ mod tests {
         let jobs = vec![a.clone(), b.clone(), a.clone(), b.clone(), a.clone()];
         let out = pool.run_batch(&jobs);
         assert_eq!(out.len(), 5);
-        assert_same_report(out[0].as_ref().unwrap(), out[2].as_ref().unwrap());
-        assert_same_report(out[0].as_ref().unwrap(), out[4].as_ref().unwrap());
-        assert_same_report(out[1].as_ref().unwrap(), out[3].as_ref().unwrap());
+        let report = |i: usize| out[i].as_ref().unwrap().report();
+        assert_same_report(report(0), report(2));
+        assert_same_report(report(0), report(4));
+        assert_same_report(report(1), report(3));
         // Only the first occurrence of each distinct job misses; the three
         // in-batch duplicates are hits (answered from the in-flight runs).
         let s = pool.stats();
@@ -656,7 +712,7 @@ mod tests {
         let again = pool.run_batch(&jobs);
         assert_eq!(pool.stats().hits, 8);
         for (x, y) in out.iter().zip(&again) {
-            assert_same_report(x.as_ref().unwrap(), y.as_ref().unwrap());
+            assert_same_report(x.as_ref().unwrap().report(), y.as_ref().unwrap().report());
         }
     }
 
@@ -723,8 +779,8 @@ mod tests {
             BatchJob::new(m.clone(), local),
         ];
         let out = pool.run_batch(&jobs);
-        let plain = out[0].as_ref().unwrap();
-        let fire = out[1].as_ref().unwrap();
+        let plain = out[0].as_ref().unwrap().report();
+        let fire = out[1].as_ref().unwrap().report();
         // Fire-and-forget release overlaps compute with transfers, so the
         // jobs must not share a report.
         assert!(fire.makespan < plain.makespan);
@@ -736,7 +792,13 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let mut cache = ReportCache::new(2);
         let config = EmulatorConfig::default();
-        let mk = |items| crate::test_support::estimate(config, &psm(items), 1);
+        let mk = |items| {
+            Arc::new(CachedReport::new(crate::test_support::estimate(
+                config,
+                &psm(items),
+                1,
+            )))
+        };
         cache.insert(1, mk(36));
         cache.insert(2, mk(72));
         assert!(cache.get(1).is_some()); // 1 is now MRU
@@ -797,7 +859,7 @@ mod tests {
         pool.attach_disk(&dir).unwrap();
         assert!(pool.contains(job.digest()), "disk contents count as cached");
         let warm = pool.run_one(&job).unwrap();
-        assert_same_report(&first, &warm);
+        assert_same_report(first.report(), warm.report());
         let s = pool.stats();
         assert_eq!((s.hits, s.misses, s.disk_hits), (1, 0, 1));
         // The promotion means a repeat is a pure memory hit.

@@ -263,12 +263,6 @@ impl PlanDelta {
     pub fn from(&self) -> SegmentId {
         self.from
     }
-
-    /// Number of per-flow hop-table entries the remap rewrote — the
-    /// O(degree) work the patch did instead of a full plan recompile.
-    pub fn touched_flows(&self) -> usize {
-        self.flow_path.len()
-    }
 }
 
 impl<'a> EnginePlan<'a> {

@@ -58,7 +58,9 @@ pub use analysis::{
     analyze_trace, gantt_csv, trace_latency_stats, trace_package_latencies, wave_boundaries,
     wave_durations, BuActivity, BusAnalysis, LatencyStats, SegmentActivity,
 };
-pub use cache::{job_digest, job_digest_from, BatchJob, CacheStats, CachedPool, ReportCache};
+pub use cache::{
+    job_digest, job_digest_from, BatchJob, CacheStats, CachedPool, CachedReport, ReportCache,
+};
 pub use config::{ArbitrationPolicy, EmulatorConfig, ProducerRelease};
 pub use counters::{BuCounters, CaCounters, FuTimes, SaCounters};
 pub use energy::{estimate_energy, EnergyBreakdown, EnergyModel};

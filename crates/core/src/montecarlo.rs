@@ -281,7 +281,10 @@ pub fn run_monte_carlo(
             engine.run_plan_into(plan, frames, &mut report);
             Ok(report)
         },
-        |report| (report.makespan.0, utilisation_fractions(report)),
+        |hit| {
+            let report = hit.report();
+            (report.makespan.0, utilisation_fractions(report))
+        },
     );
 
     let mut makespans = Vec::with_capacity(results.len());

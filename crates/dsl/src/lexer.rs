@@ -4,6 +4,10 @@
 //! line/column spans; skips `//` line comments and `/* … */` block
 //! comments. Lexical failures surface as [`SegbusError`]s with code
 //! `P001` (malformed input) or `P003` (integer literal out of range).
+//!
+//! The lexer is a pull lexer: each `next_token` call classifies the byte
+//! at the cursor through one 256-entry table and lexes exactly one
+//! token, so the parser holds one token at a time instead of a vector.
 
 use std::fmt;
 
@@ -59,6 +63,62 @@ pub struct Token<'a> {
     pub span: Span,
 }
 
+/// The class of a byte: which arm of [`Lexer::next_token`] handles it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// `' '`, `'\t'` or `'\r'`.
+    Space,
+    /// `'\n'`: starts a line.
+    Newline,
+    /// `0`–`9`: starts a number, continues an identifier.
+    Digit,
+    /// An ASCII letter or `_`: starts or continues an identifier.
+    Word,
+    /// `{`, `}` or `;`.
+    Punct,
+    /// `-`: starts `->`, or joins two parts of an identifier.
+    Dash,
+    /// `/`: starts a comment.
+    Slash,
+    /// Anything else, every non-ASCII byte included.
+    Other,
+}
+
+static CLASS: [Class; 256] = {
+    let mut table = [Class::Other; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b as u8 {
+            b' ' | b'\t' | b'\r' => Class::Space,
+            b'\n' => Class::Newline,
+            b'0'..=b'9' => Class::Digit,
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => Class::Word,
+            b'{' | b'}' | b';' => Class::Punct,
+            b'-' => Class::Dash,
+            b'/' => Class::Slash,
+            _ => Class::Other,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// The offset of the first byte at or after `i` that is not a space.
+fn skip_spaces(bytes: &[u8], mut i: usize) -> usize {
+    while bytes
+        .get(i)
+        .is_some_and(|&b| CLASS[b as usize] == Class::Space)
+    {
+        i += 1;
+    }
+    i
+}
+
+/// `true` for a byte that continues an identifier.
+fn continues_ident(b: u8) -> bool {
+    matches!(CLASS[b as usize], Class::Word | Class::Digit)
+}
+
 /// The tokenizer.
 ///
 /// Columns count bytes from the last `'\n'` (a `'\r'` is an ordinary
@@ -87,10 +147,8 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Tokenize everything, ending with an [`TokenKind::Eof`] token.
-    ///
-    /// The whole source is tokenized before parsing starts, so a lexical
-    /// error anywhere wins over a syntax error earlier in the text.
+    /// Tokenize everything, ending with an [`TokenKind::Eof`] token, or
+    /// stop at the first lexical error.
     pub fn tokenize(mut self) -> Result<Vec<Token<'a>>, SegbusError> {
         let mut out = Vec::new();
         loop {
@@ -102,14 +160,6 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.src.as_bytes().get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<u8> {
-        self.src.as_bytes().get(self.pos + 1).copied()
-    }
-
     /// Step over the `'\n'` at the current position.
     fn newline(&mut self) {
         self.pos += 1;
@@ -117,132 +167,160 @@ impl<'a> Lexer<'a> {
         self.line_start = self.pos;
     }
 
-    fn span(&self) -> Span {
+    /// The span of byte offset `at` on the current line.
+    fn span_at(&self, at: usize) -> Span {
         Span {
             line: u32::try_from(self.line).unwrap_or(u32::MAX),
-            col: u32::try_from(self.pos - self.line_start + 1).unwrap_or(u32::MAX),
+            col: u32::try_from(at - self.line_start + 1).unwrap_or(u32::MAX),
         }
     }
 
-    fn skip_trivia(&mut self) -> Result<(), SegbusError> {
+    /// Lex the next token, skipping the trivia before it. At the end of
+    /// the source every call returns [`TokenKind::Eof`].
+    pub(crate) fn next_token(&mut self) -> Result<Token<'a>, SegbusError> {
+        let bytes = self.src.as_bytes();
         loop {
-            match (self.peek(), self.peek2()) {
-                (Some(b'\n'), _) => self.newline(),
-                (Some(b' ' | b'\t' | b'\r'), _) => self.pos += 1,
-                (Some(b'/'), Some(b'/')) => {
-                    while !matches!(self.peek(), None | Some(b'\n')) {
-                        self.pos += 1;
+            let start = self.pos;
+            let Some(&c) = bytes.get(start) else {
+                return Ok(Token {
+                    kind: TokenKind::Eof,
+                    span: self.span_at(start),
+                });
+            };
+            let kind = match CLASS[c as usize] {
+                Class::Space => {
+                    self.pos = skip_spaces(bytes, start + 1);
+                    continue;
+                }
+                Class::Newline => {
+                    self.newline();
+                    // Most lines start with their indentation.
+                    self.pos = skip_spaces(bytes, self.pos);
+                    continue;
+                }
+                Class::Digit => self.number(start)?,
+                Class::Word => self.ident(start),
+                Class::Punct => {
+                    self.pos += 1;
+                    match c {
+                        b'{' => TokenKind::LBrace,
+                        b'}' => TokenKind::RBrace,
+                        _ => TokenKind::Semi,
                     }
                 }
-                (Some(b'/'), Some(b'*')) => {
-                    let start = self.span();
+                Class::Dash => {
+                    if bytes.get(start + 1) != Some(&b'>') {
+                        return Err(lex_err(self.span_at(start), "expected '->' after '-'"));
+                    }
                     self.pos += 2;
-                    loop {
-                        match (self.peek(), self.peek2()) {
-                            (Some(b'*'), Some(b'/')) => {
-                                self.pos += 2;
-                                break;
-                            }
-                            (Some(b'\n'), _) => self.newline(),
-                            (None, _) => return Err(lex_err(start, "unterminated block comment")),
-                            _ => self.pos += 1,
-                        }
-                    }
+                    TokenKind::Arrow
                 }
-                _ => return Ok(()),
+                Class::Slash => {
+                    match bytes.get(start + 1) {
+                        Some(b'/') => {
+                            self.pos = bytes[start..]
+                                .iter()
+                                .position(|&b| b == b'\n')
+                                .map_or(bytes.len(), |i| start + i);
+                        }
+                        Some(b'*') => self.block_comment(start)?,
+                        _ => return Err(self.unexpected(start)),
+                    }
+                    continue;
+                }
+                Class::Other => return Err(self.unexpected(start)),
+            };
+            return Ok(Token {
+                kind,
+                span: self.span_at(start),
+            });
+        }
+    }
+
+    /// Skip the block comment opening at `start`.
+    fn block_comment(&mut self, start: usize) -> Result<(), SegbusError> {
+        let open = self.span_at(start);
+        let bytes = self.src.as_bytes();
+        let mut i = start + 2;
+        loop {
+            match bytes.get(i) {
+                Some(b'*') if bytes.get(i + 1) == Some(&b'/') => {
+                    self.pos = i + 2;
+                    return Ok(());
+                }
+                Some(b'\n') => {
+                    i += 1;
+                    self.line += 1;
+                    self.line_start = i;
+                }
+                Some(_) => i += 1,
+                None => return Err(lex_err(open, "unterminated block comment")),
             }
         }
     }
 
-    fn next_token(&mut self) -> Result<Token<'a>, SegbusError> {
-        self.skip_trivia()?;
-        let span = self.span();
-        let Some(c) = self.peek() else {
-            return Ok(Token {
-                kind: TokenKind::Eof,
-                span,
-            });
-        };
-        let kind = match c {
-            b'{' => {
-                self.pos += 1;
-                TokenKind::LBrace
+    /// An integer, or a float when one `.` sits between digits. Integers
+    /// accumulate as they are read; floats go through `str::parse`.
+    fn number(&mut self, start: usize) -> Result<TokenKind<'a>, SegbusError> {
+        let bytes = self.src.as_bytes();
+        let mut value = Some(0u64);
+        let mut i = start;
+        while let Some(&d) = bytes.get(i).filter(|d| d.is_ascii_digit()) {
+            value = value
+                .and_then(|v| v.checked_mul(10))
+                .and_then(|v| v.checked_add(u64::from(d - b'0')));
+            i += 1;
+        }
+        let is_float =
+            bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit);
+        if is_float {
+            i += 1;
+            while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+                i += 1;
             }
-            b'}' => {
-                self.pos += 1;
-                TokenKind::RBrace
+        }
+        self.pos = i;
+        // ASCII digits and at most one dot: a char-boundary slice.
+        let text = &self.src[start..i];
+        let span = self.span_at(start);
+        if is_float {
+            text.parse()
+                .map(TokenKind::Float)
+                .map_err(|_| lex_err(span, format!("malformed number {text:?}")))
+        } else {
+            value.map(TokenKind::Int).ok_or_else(|| {
+                SegbusError::new("P003", format!("integer {text:?} out of range"))
+                    .with_span(span.line, span.col)
+            })
+        }
+    }
+
+    /// An identifier starting at `start` (a letter or `_`).
+    fn ident(&mut self, start: usize) -> TokenKind<'a> {
+        let bytes = self.src.as_bytes();
+        let mut i = start + 1;
+        while let Some(&b) = bytes.get(i) {
+            if continues_ident(b) {
+                i += 1;
+            } else if b == b'-' && bytes.get(i + 1).is_some_and(|&n| continues_ident(n)) {
+                // Interior hyphens are part of the name ("mp3-decoder");
+                // "P0->P1" still lexes as an arrow because '>' follows.
+                i += 2;
+            } else {
+                break;
             }
-            b';' => {
-                self.pos += 1;
-                TokenKind::Semi
-            }
-            b'-' => {
-                self.pos += 1;
-                if self.peek() == Some(b'>') {
-                    self.pos += 1;
-                    TokenKind::Arrow
-                } else {
-                    return Err(lex_err(span, "expected '->' after '-'"));
-                }
-            }
-            b'0'..=b'9' => {
-                let start = self.pos;
-                let mut is_float = false;
-                while let Some(d) = self.peek() {
-                    if d.is_ascii_digit() {
-                        self.pos += 1;
-                    } else if d == b'.'
-                        && !is_float
-                        && self.peek2().is_some_and(|n| n.is_ascii_digit())
-                    {
-                        is_float = true;
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                // ASCII digits and at most one dot: a char-boundary slice.
-                let text = &self.src[start..self.pos];
-                if is_float {
-                    TokenKind::Float(
-                        text.parse()
-                            .map_err(|_| lex_err(span, format!("malformed number {text:?}")))?,
-                    )
-                } else {
-                    TokenKind::Int(text.parse().map_err(|_| {
-                        SegbusError::new("P003", format!("integer {text:?} out of range"))
-                            .with_span(span.line, span.col)
-                    })?)
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == b'_' => {
-                let start = self.pos;
-                while let Some(d) = self.peek() {
-                    if d.is_ascii_alphanumeric() || d == b'_' {
-                        self.pos += 1;
-                    } else if d == b'-'
-                        && self
-                            .peek2()
-                            .is_some_and(|n| n.is_ascii_alphanumeric() || n == b'_')
-                    {
-                        // Interior hyphens are part of the name ("mp3-decoder");
-                        // "P0->P1" still lexes as an arrow because '>' follows.
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                // ASCII alphanumerics, '_' and '-': a char-boundary slice.
-                TokenKind::Ident(&self.src[start..self.pos])
-            }
-            other => {
-                return Err(lex_err(
-                    span,
-                    format!("unexpected character {:?}", other as char),
-                ))
-            }
-        };
-        Ok(Token { kind, span })
+        }
+        self.pos = i;
+        // ASCII alphanumerics, '_' and '-': a char-boundary slice.
+        TokenKind::Ident(&self.src[start..i])
+    }
+
+    /// `P001` for the character at `start`. Every token starts on a char
+    /// boundary (trivia and tokens end on ASCII bytes), so the character
+    /// is decoded whole, while the column stays a byte count.
+    fn unexpected(&self, start: usize) -> SegbusError {
+        let c = self.src[start..].chars().next().unwrap_or('\u{fffd}');
+        lex_err(self.span_at(start), format!("unexpected character {c:?}"))
     }
 }
 
@@ -335,5 +413,42 @@ mod tests {
             .tokenize()
             .unwrap_err();
         assert_eq!(e.code, "P003");
+    }
+
+    /// A non-ASCII character is named whole, at its byte-based column.
+    #[test]
+    fn unexpected_non_ascii_names_the_decoded_character() {
+        let e = crate::parse_source("application é {}").unwrap_err();
+        assert_eq!(e.code, "P001");
+        assert_eq!(e.message, "unexpected character 'é'");
+        assert_eq!(e.span, Some(Span { line: 1, col: 13 }));
+        // After a two-byte character the column counts both bytes.
+        let e = Lexer::new("a\n é ☃").tokenize().unwrap_err();
+        assert_eq!(e.message, "unexpected character 'é'");
+        assert_eq!(e.span, Some(Span { line: 2, col: 2 }));
+        let e = Lexer::new("/* é */ x ☃").tokenize().unwrap_err();
+        assert_eq!(e.message, "unexpected character '☃'");
+        assert_eq!(e.span, Some(Span { line: 1, col: 12 }));
+    }
+
+    /// Integers accumulate with checked arithmetic: `u64::MAX` lexes and
+    /// one more is `P003` naming the whole literal; a float of the same
+    /// digits still lexes.
+    #[test]
+    fn integer_overflow_is_p003_and_floats_parse() {
+        assert_eq!(
+            kinds("18446744073709551615 0007"),
+            vec![TokenKind::Int(u64::MAX), TokenKind::Int(7), TokenKind::Eof]
+        );
+        let e = Lexer::new("x 18446744073709551616;")
+            .tokenize()
+            .unwrap_err();
+        assert_eq!(e.code, "P003");
+        assert_eq!(e.message, "integer \"18446744073709551616\" out of range");
+        assert_eq!(e.span, Some(Span { line: 1, col: 3 }));
+        assert_eq!(
+            kinds("18446744073709551616.5"),
+            vec![TokenKind::Float(18446744073709551616.5), TokenKind::Eof]
+        );
     }
 }

@@ -94,14 +94,29 @@ impl ParsedSource<'_> {
 }
 
 /// Parse a DSL source into its blocks.
+///
+/// The parser pulls one token at a time from the [`Lexer`]. A lexical
+/// error anywhere still wins over a syntax error earlier in the text: on
+/// any parser error the rest of the source is lexed, and its first
+/// lexical error, if there is one, is returned instead.
 pub fn parse_source(src: &str) -> Result<ParsedSource<'_>, SegbusError> {
-    let tokens = Lexer::new(src).tokenize()?;
-    Parser { tokens, pos: 0 }.source()
+    let mut lexer = Lexer::new(src);
+    let tok = lexer.next_token()?;
+    let mut parser = Parser {
+        lexer,
+        tok,
+        lex_failed: false,
+    };
+    parser.source().map_err(|e| parser.lexical_error_or(e))
 }
 
 struct Parser<'a> {
-    tokens: Vec<Token<'a>>,
-    pos: usize,
+    lexer: Lexer<'a>,
+    /// The current token: lexed, not yet consumed.
+    tok: Token<'a>,
+    /// The lexer returned an error, which is final: nothing is left to
+    /// drain.
+    lex_failed: bool,
 }
 
 /// The processes of the application being parsed, by name.
@@ -109,15 +124,32 @@ type ProcessNames<'a> = HashMap<&'a str, ProcessId>;
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> &Token<'a> {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+        &self.tok
     }
 
-    fn bump(&mut self) -> Token<'a> {
-        let t = *self.peek();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+    /// Consume the current token and lex the next one. At the end of the
+    /// source the current token stays [`TokenKind::Eof`].
+    fn bump(&mut self) -> Result<Token<'a>, SegbusError> {
+        let next = self
+            .lexer
+            .next_token()
+            .inspect_err(|_| self.lex_failed = true)?;
+        Ok(std::mem::replace(&mut self.tok, next))
+    }
+
+    /// The error `parse_source` returns for the parser error `e`: the
+    /// first lexical error in the rest of the source, else `e`.
+    fn lexical_error_or(&mut self, e: SegbusError) -> SegbusError {
+        if self.lex_failed {
+            return e;
         }
-        t
+        loop {
+            match self.lexer.next_token() {
+                Ok(t) if t.kind == TokenKind::Eof => return e,
+                Ok(_) => {}
+                Err(lexical) => return lexical,
+            }
+        }
     }
 
     fn err(&self, msg: impl Into<String>) -> SegbusError {
@@ -131,7 +163,7 @@ impl<'a> Parser<'a> {
 
     fn expect_kind(&mut self, k: TokenKind<'_>) -> Result<Token<'a>, SegbusError> {
         if self.peek().kind == k {
-            Ok(self.bump())
+            self.bump()
         } else {
             Err(self.err(format!("expected {k}, found {}", self.peek().kind)))
         }
@@ -140,7 +172,7 @@ impl<'a> Parser<'a> {
     fn ident(&mut self) -> Result<&'a str, SegbusError> {
         match self.peek().kind {
             TokenKind::Ident(s) => {
-                self.bump();
+                self.bump()?;
                 Ok(s)
             }
             other => Err(self.err(format!("expected an identifier, found {other}"))),
@@ -150,7 +182,7 @@ impl<'a> Parser<'a> {
     fn keyword(&mut self, kw: &str) -> Result<(), SegbusError> {
         match self.peek().kind {
             TokenKind::Ident(s) if s == kw => {
-                self.bump();
+                self.bump()?;
                 Ok(())
             }
             other => Err(self.err(format!("expected keyword {kw:?}, found {other}"))),
@@ -160,7 +192,7 @@ impl<'a> Parser<'a> {
     fn int(&mut self) -> Result<u64, SegbusError> {
         match self.peek().kind {
             TokenKind::Int(v) => {
-                self.bump();
+                self.bump()?;
                 Ok(v)
             }
             other => Err(self.err(format!("expected an integer, found {other}"))),
@@ -184,11 +216,11 @@ impl<'a> Parser<'a> {
     fn number(&mut self) -> Result<f64, SegbusError> {
         match self.peek().kind {
             TokenKind::Int(v) => {
-                self.bump();
+                self.bump()?;
                 Ok(v as f64)
             }
             TokenKind::Float(v) => {
-                self.bump();
+                self.bump()?;
                 Ok(v)
             }
             other => Err(self.err(format!("expected a number, found {other}"))),
@@ -226,7 +258,7 @@ impl<'a> Parser<'a> {
         loop {
             match self.peek().kind {
                 TokenKind::RBrace => {
-                    self.bump();
+                    self.bump()?;
                     return Ok(app);
                 }
                 TokenKind::Ident("process") => self.process(&mut app, &mut names)?,
@@ -257,11 +289,11 @@ impl<'a> Parser<'a> {
         }
         let p = match self.peek().kind {
             TokenKind::Ident("initial") => {
-                self.bump();
+                self.bump()?;
                 Process::initial(name)
             }
             TokenKind::Ident("final") => {
-                self.bump();
+                self.bump()?;
                 Process::final_(name)
             }
             _ => Process::new(name),
@@ -421,16 +453,16 @@ impl<'a> Parser<'a> {
         loop {
             match self.peek().kind {
                 TokenKind::RBrace => {
-                    self.bump();
+                    self.bump()?;
                     break;
                 }
                 TokenKind::Ident("package_size") => {
-                    self.bump();
+                    self.bump()?;
                     package_size = Some(self.int_u32("package_size")?);
                     self.expect_kind(TokenKind::Semi)?;
                 }
                 TokenKind::Ident("topology") => {
-                    self.bump();
+                    self.bump()?;
                     let t = self.ident()?;
                     topology = Some(match t {
                         "linear" => Topology::Linear,
@@ -444,20 +476,20 @@ impl<'a> Parser<'a> {
                     self.expect_kind(TokenKind::Semi)?;
                 }
                 TokenKind::Ident("ca") => {
-                    self.bump();
+                    self.bump()?;
                     self.expect_kind(TokenKind::LBrace)?;
                     ca_clock = Some(self.clock()?);
                     self.expect_kind(TokenKind::RBrace)?;
                 }
                 TokenKind::Ident("segment") => {
-                    self.bump();
+                    self.bump()?;
                     let sname = self.ident()?;
                     let seg = SegmentId(segments.len() as u16);
                     self.expect_kind(TokenKind::LBrace)?;
                     let clock = self.clock()?;
                     // optional hosts clause
                     if self.peek().kind == TokenKind::Ident("hosts") {
-                        self.bump();
+                        self.bump()?;
                         while self.peek().kind != TokenKind::Semi {
                             let pspan = self.peek().span;
                             let pname = self.ident()?;
@@ -738,5 +770,23 @@ mod tests {
     #[test]
     fn garbage_top_level_rejected() {
         assert!(parse_source("banana {}").is_err());
+    }
+
+    /// The parser pulls tokens one at a time, yet a lexical error later
+    /// in the text still wins over a syntax error before it.
+    #[test]
+    fn a_later_lexical_error_wins_over_an_earlier_syntax_error() {
+        let src = "application a { bogus; }\nplatform p { }\n/* never closed";
+        let e = parse_source(src).unwrap_err();
+        assert_eq!(e.code, "P001", "{e}");
+        assert_eq!(e.message, "unterminated block comment");
+        assert_eq!(e.span, Some(Span { line: 3, col: 1 }));
+        assert_eq!(Some(e), Lexer::new(src).tokenize().err());
+        // A name error (P005) yields to a lexical error after it as well.
+        let e = parse_source("application a { flow X -> Y { } } @").unwrap_err();
+        assert_eq!((e.code, e.span), ("P001", Some(Span { line: 1, col: 35 })));
+        // Without a lexical error the syntax error stands.
+        let e = parse_source("application a { bogus; }\n/* closed */").unwrap_err();
+        assert_eq!((e.code, e.span), ("P002", Some(Span { line: 1, col: 17 })));
     }
 }

@@ -125,32 +125,6 @@ impl Allocation {
             })
             .sum()
     }
-
-    /// Topology-aware item cut: hop distances come from the platform, so a
-    /// ring's wrap-around link is credited.
-    pub fn weighted_cut_on(&self, app: &Application, platform: &crate::platform::Platform) -> u64 {
-        app.flows()
-            .iter()
-            .map(|f| {
-                let a = self.segment_of_checked(f.src);
-                let b = self.segment_of_checked(f.dst);
-                f.items * platform.hops(a, b) as u64
-            })
-            .sum()
-    }
-
-    /// Topology-aware package cut at the platform's package size.
-    pub fn package_cut_on(&self, app: &Application, platform: &crate::platform::Platform) -> u64 {
-        let s = platform.package_size();
-        app.flows()
-            .iter()
-            .map(|f| {
-                let a = self.segment_of_checked(f.src);
-                let b = self.segment_of_checked(f.dst);
-                f.packages(s) * platform.hops(a, b) as u64
-            })
-            .sum()
-    }
 }
 
 /// A validated Platform Specific Model: platform + application + allocation.
@@ -228,10 +202,15 @@ impl Psm {
     /// rejects zero itself. V007 is a warning, which [`Psm::new`] never
     /// reports.
     pub fn with_package_size(&self, s: u32) -> Result<Psm, ModelError> {
+        self.clone().into_package_size(s)
+    }
+
+    /// [`Psm::with_package_size`] taking the model by value: the
+    /// application, allocation and names move instead of being copied.
+    pub fn into_package_size(self, s: u32) -> Result<Psm, ModelError> {
         Ok(Psm {
-            platform: self.platform.with_package_size(s)?,
-            application: self.application.clone(),
-            allocation: self.allocation.clone(),
+            platform: self.platform.into_package_size(s)?,
+            ..self
         })
     }
 

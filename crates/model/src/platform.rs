@@ -179,12 +179,17 @@ impl Platform {
     /// Return a copy with a different package size (the paper's 18-vs-36
     /// experiment keeps everything else fixed).
     pub fn with_package_size(&self, s: u32) -> Result<Platform, ModelError> {
+        self.clone().into_package_size(s)
+    }
+
+    /// [`Platform::with_package_size`] taking the platform by value, so
+    /// nothing is copied.
+    pub(crate) fn into_package_size(mut self, s: u32) -> Result<Platform, ModelError> {
         if s == 0 {
             return Err(ModelError::ZeroPackageSize);
         }
-        let mut p = self.clone();
-        p.package_size = s;
-        Ok(p)
+        self.package_size = s;
+        Ok(self)
     }
 
     /// Border units in index order: `BU12`, `BU23`, … (`n − 1` units in a

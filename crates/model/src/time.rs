@@ -38,12 +38,6 @@ impl Picos {
         self.0 as f64 / 1_000_000.0
     }
 
-    /// Value in nanoseconds as a float.
-    #[inline]
-    pub fn as_nanos_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// The larger of two instants.
     #[inline]
     pub fn max(self, other: Picos) -> Picos {

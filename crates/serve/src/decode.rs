@@ -94,9 +94,7 @@ impl LineDecoder {
                         if line.last() == Some(&b'\r') {
                             line.pop();
                         }
-                        self.ready.push_back(DecodedLine::Line(
-                            String::from_utf8_lossy(&line).into_owned(),
-                        ));
+                        self.ready.push_back(DecodedLine::Line(utf8_line(line)));
                     }
                     bytes = &bytes[i + 1..];
                 }
@@ -128,16 +126,21 @@ impl LineDecoder {
         if self.partial.is_empty() {
             return None;
         }
-        let line = std::mem::take(&mut self.partial);
-        Some(DecodedLine::Line(
-            String::from_utf8_lossy(&line).into_owned(),
-        ))
+        Some(DecodedLine::Line(utf8_line(std::mem::take(
+            &mut self.partial,
+        ))))
     }
 
     fn reset_partial(&mut self) {
         self.partial.clear();
         self.partial.shrink_to_fit();
     }
+}
+
+/// The line's bytes as a `String`: a valid line moves its buffer in; only
+/// invalid UTF-8 is copied, with U+FFFD for each invalid sequence.
+fn utf8_line(line: Vec<u8>) -> String {
+    String::from_utf8(line).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 #[cfg(test)]
@@ -226,6 +229,34 @@ mod tests {
             lines(&mut d),
             vec![DecodedLine::Line("abcd".into()), DecodedLine::Overflow]
         );
+    }
+
+    /// Invalid UTF-8 decodes exactly as `String::from_utf8_lossy` of the
+    /// line: one U+FFFD per invalid sequence, even when a multi-byte
+    /// character is split across chunks, and CRLF is still stripped.
+    #[test]
+    fn invalid_utf8_is_replaced_across_chunks() {
+        let line: &[u8] = b"a\xffb\xe2\x98\x83c\xe2\x98d\xc3";
+        let expected = String::from_utf8_lossy(line).into_owned();
+        assert_eq!(expected, "a\u{fffd}b\u{2603}c\u{fffd}d\u{fffd}");
+        let mut stream = line.to_vec();
+        stream.extend_from_slice(b"\r\n");
+        stream.extend_from_slice(line);
+        for cut in 1..stream.len() {
+            let mut d = LineDecoder::new(64);
+            d.feed(&stream[..cut]);
+            d.feed(&stream[cut..]);
+            let mut got = lines(&mut d);
+            got.extend(d.finish());
+            assert_eq!(
+                got,
+                vec![
+                    DecodedLine::Line(expected.clone()),
+                    DecodedLine::Line(expected.clone())
+                ],
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

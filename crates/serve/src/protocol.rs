@@ -26,7 +26,8 @@
 //! the CLI would print.
 
 use segbus_core::{
-    ArbitrationPolicy, BatchJob, CacheStats, EmulationReport, EmulatorConfig, ProducerRelease,
+    ArbitrationPolicy, BatchJob, CacheStats, CachedReport, EmulationReport, EmulatorConfig,
+    ProducerRelease,
 };
 use segbus_model::SegbusError;
 
@@ -183,7 +184,7 @@ pub fn decode_job(v: &Json, limits: &Limits) -> Result<BatchJob, SegbusError> {
             .as_u64()
             .filter(|&s| s <= u32::MAX as u64)
             .ok_or_else(|| shape_err("\"package_size\" must be a u32"))?;
-        psm = psm.with_package_size(s as u32)?;
+        psm = psm.into_package_size(s as u32)?;
     }
     let frames = match v.get("frames") {
         None => 1,
@@ -248,6 +249,23 @@ fn decode_config(v: &Json) -> Result<EmulatorConfig, SegbusError> {
 /// sees byte-for-byte what `segbus emulate` prints (the batch/emulate
 /// bit-identity contract).
 pub fn encode_report(id: u64, cached: bool, digest: u64, report: &EmulationReport) -> String {
+    encode_emulate(id, cached, digest, report, &report.paper_style())
+}
+
+/// [`encode_report`] for a cache entry: its text is rendered at most once
+/// while the entry is resident, and only escaped here.
+pub fn encode_cached_report(id: u64, cached: bool, digest: u64, entry: &CachedReport) -> String {
+    encode_emulate(id, cached, digest, entry.report(), entry.paper_style())
+}
+
+/// The `emulate` response of `report`, whose paper-style text is `text`.
+fn encode_emulate(
+    id: u64,
+    cached: bool,
+    digest: u64,
+    report: &EmulationReport,
+    text: &str,
+) -> String {
     let mut w = ObjWriter::new();
     w.uint("id", id)
         .bool("ok", true)
@@ -257,7 +275,7 @@ pub fn encode_report(id: u64, cached: bool, digest: u64, report: &EmulationRepor
         .uint("execution_time_ps", report.execution_time().0)
         .float("execution_time_us", report.execution_time().as_micros_f64())
         .uint("ca_tct", report.ca.tct)
-        .str("report", &report.paper_style());
+        .str("report", text);
     w.finish()
 }
 

@@ -13,7 +13,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use segbus_core::{BatchJob, CacheStats, CachedPool, EmulationReport, EmulatorConfig, SweepPool};
+use segbus_core::{BatchJob, CacheStats, CachedPool, CachedReport, EmulatorConfig, SweepPool};
 use segbus_model::SegbusError;
 
 use crate::protocol;
@@ -21,8 +21,9 @@ use crate::protocol;
 /// What the service returns for one submitted job.
 #[derive(Debug)]
 pub struct JobOutcome {
-    /// The report, or the typed rejection.
-    pub result: Result<EmulationReport, SegbusError>,
+    /// The report as the memory cache holds it (shared, its text rendered
+    /// at most once while resident), or the typed rejection.
+    pub result: Result<Arc<CachedReport>, SegbusError>,
     /// `true` if the report was resident in the cache when the job's
     /// batch started (an answered-without-emulation hit).
     pub cached: bool,
@@ -279,8 +280,8 @@ mod tests {
         assert!(second.cached, "second identical job is a cache hit");
         assert_eq!(first.digest, second.digest);
         assert_eq!(
-            first.result.unwrap().makespan,
-            second.result.unwrap().makespan
+            first.result.unwrap().report().makespan,
+            second.result.unwrap().report().makespan
         );
         let stats = svc.stats();
         assert_eq!(stats.cache.hits, 1);
@@ -304,13 +305,24 @@ mod tests {
         let traced = svc.run(tj.clone());
         assert_ne!(plain.digest, traced.digest);
         let report = traced.result.unwrap();
-        let trace = report.trace.expect("traced job records events");
+        let trace = report
+            .report()
+            .trace
+            .as_ref()
+            .expect("traced job records events");
         assert!(!trace.is_empty());
         // Cached replay returns the same trace.
         let again = svc.run(tj);
         assert!(again.cached);
         assert_eq!(
-            again.result.unwrap().trace.expect("cached trace").len(),
+            again
+                .result
+                .unwrap()
+                .report()
+                .trace
+                .as_ref()
+                .expect("cached trace")
+                .len(),
             trace.len()
         );
     }
@@ -322,7 +334,7 @@ mod tests {
         let mut makespans = Vec::new();
         for rx in receivers {
             let outcome = rx.recv().unwrap();
-            makespans.push(outcome.result.unwrap().makespan);
+            makespans.push(outcome.result.unwrap().report().makespan);
         }
         assert!(makespans.windows(2).all(|w| w[0] == w[1]));
         let stats = svc.stats();

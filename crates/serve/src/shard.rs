@@ -522,7 +522,7 @@ fn process_event(
                     .record_us(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
                 let line = match outcome.result {
                     Ok(report) => {
-                        protocol::encode_report(id, outcome.cached, outcome.digest, &report)
+                        protocol::encode_cached_report(id, outcome.cached, outcome.digest, &report)
                     }
                     Err(e) => protocol::encode_error(id, &e),
                 };

@@ -292,3 +292,56 @@ fn warm_restart_answers_pipelined_repeats_from_disk() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A memory hit is answered from the report text kept with its cache
+/// entry: byte for byte the miss's response but for `"cached"`. That
+/// holds for a plain hit, for an entry evicted to the disk tier and
+/// promoted back (memory capacity 1), for the hit after that promotion,
+/// and for a traced job.
+#[test]
+fn rendered_once_hits_match_the_miss_byte_for_byte() {
+    let dir = tmpdir("render-once");
+    let mut server = Server::start(ServeOptions {
+        port: 0,
+        threads: 2,
+        cache_capacity: 1,
+        cache_dir: Some(dir.clone()),
+        ..ServeOptions::default()
+    })
+    .unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut ask = |line: &str| -> String {
+        stream.write_all(line.as_bytes()).unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        response
+    };
+    let as_hit = |miss: &str| {
+        assert_eq!(miss.matches("\"cached\":false").count(), 1, "{miss}");
+        miss.replace("\"cached\":false", "\"cached\":true")
+    };
+
+    for extra in ["", ", \"trace\": true"] {
+        let job = emulate_line(7, extra);
+        let other = emulate_line(8, &format!("{extra}, \"frames\": 2"));
+        let miss = ask(&job);
+        let hit = as_hit(&miss);
+        assert_eq!(ask(&job), hit, "memory hit{extra}");
+        // Capacity 1: the other job evicts this one (to disk when untraced;
+        // traced reports are memory-only and are emulated again).
+        assert!(ask(&other).contains("\"ok\":true"));
+        let again = ask(&job);
+        if extra.is_empty() {
+            assert_eq!(again, hit, "disk hit promoted back into memory");
+        } else {
+            assert_eq!(again, miss, "a traced report is never persisted");
+        }
+        assert_eq!(ask(&job), hit, "memory hit after the promotion{extra}");
+    }
+    let stats = ask("{\"cmd\": \"stats\"}\n");
+    let stats = json::parse(stats.trim()).unwrap();
+    assert_eq!(stats.get("disk_hits").and_then(Json::as_u64), Some(1));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -763,7 +763,7 @@ fn cmd_batch(args: &[String]) -> Result<String, CliError> {
         match result {
             Ok(report) => {
                 let _ = writeln!(out, "== {path} ({tag})");
-                out.push_str(&report.paper_style());
+                out.push_str(report.paper_style());
             }
             Err(e) => {
                 failures += 1;

@@ -133,7 +133,17 @@ fn mutate(rng: &mut SmallRng, src: &str) -> String {
 /// Parse → validate → pre-flight → emulate; every rejection must be a
 /// typed error (a panic anywhere unwinds into the harness and fails).
 fn drive_dsl(src: &str) -> Option<Psm> {
-    match segbus_dsl::parse_system(src) {
+    let parsed = segbus_dsl::parse_system(src);
+    // The parser pulls tokens lazily, yet a lexical error anywhere must
+    // win over any earlier parser error: code, message and span.
+    if let Err(lexical) = segbus_dsl::Lexer::new(src).tokenize() {
+        assert_eq!(
+            parsed.as_ref().err(),
+            Some(&lexical),
+            "the lexical error must win for {src:?}"
+        );
+    }
+    match parsed {
         Ok(psm) => Some(psm),
         Err(e) => {
             assert!(!e.code.is_empty(), "rejection without a code for {src:?}");
