@@ -54,19 +54,16 @@
 //!   by `O(processes + segments)` (package-level flow control keeps at
 //!   most one compute/transfer event per producer), so the insertion
 //!   memmove stays within a few cache lines.
-//! * **Inline FIFO dispatch** — a local request's dispatch attempt lands
-//!   at the compute end itself (computation ends on a segment-clock
-//!   edge). Under FIFO arbitration the serve order and serve times are a
-//!   function of arrival order and bus availability alone (a dispatch
-//!   that finds the bus busy, the segment reserved or the queue empty
-//!   touches no state and is re-triggered by the blocking event), so
-//!   running the attempt inline is report-identical and saves a queue
-//!   round-trip per local package. It is also the one elision that moves
-//!   trace events: the serve's `BusStart`/`BusEnd` are emitted before
-//!   same-instant events the plain schedule would pop first, so traces
-//!   agree with the reference as event *sets*, and the emission order is
-//!   pinned by golden digests instead. Priority-based policies pick by
-//!   queue *content* at dispatch time and keep the event.
+//! * **One inline rule** — a handler whose last action schedules an
+//!   event runs that event's handler inline instead, skipping the queue
+//!   round-trip, exactly when every queued event lies strictly after it
+//!   (`pops_next`). The event is then the handler's tail and the unique
+//!   queue minimum, and no dispatch dedup marker (below) can stand at its
+//!   instant, because a marker always backs a queued event; so the plain
+//!   schedule would pop it next. Two handlers end this way under every
+//!   policy: a local compute end, whose dispatch attempt lands on the
+//!   compute end itself (computation ends on a segment-clock edge), and
+//!   a serve, whose `IntraDone` lands at the transaction end.
 //! * **Fused serve chains** — when a serve leaves the local queue
 //!   non-empty, the plain schedule queues a follow-up dispatch at the
 //!   transaction end: an event at the same `(time, seq)` neighbourhood
@@ -86,12 +83,6 @@
 //!   Dropping an event whose handler performs no state change preserves
 //!   the relative order — and therefore the tie-breaks — of every
 //!   remaining event.
-//! * **Synchronous serve completion** — an `IntraDone` scheduled at the
-//!   serve's end would pop next whenever every queued event lies
-//!   strictly after it: it is the unique minimum, and no event can later
-//!   be inserted at or before its timestamp (dispatch dedup markers
-//!   always back already-queued events). The fast core detects this at
-//!   schedule time and runs the handler inline, skipping the round-trip.
 //! * **CA path bitsets and path heads** — the plan compiles each route's
 //!   segment set into `u64` words (`PathInfo::mask`, one word per 64
 //!   segments) and the CA keeps its reservations in the same layout, so
@@ -128,14 +119,15 @@
 //! **Bit-identity contract.** For every PSM, frame count and
 //! configuration, the fast core produces an [`EmulationReport`] equal to
 //! [`crate::ReferenceEmulator`]'s field for field, and a trace with the
-//! same events. Every surviving event is scheduled in the same program
-//! order (so tie-breaks coincide), every elided event is one whose
-//! handler could not have changed state, and every timestamp is computed
-//! by the same strength-reduced arithmetic (`engine::FastClock`).
+//! same events in the same order. Every surviving event is scheduled in
+//! the same program order (so tie-breaks coincide), every elided event
+//! is one whose handler could not have changed state, and every
+//! timestamp is computed by the same strength-reduced arithmetic
+//! (`engine::FastClock`).
 //! The tests below, `tests/trace_differential.rs` and the fuzz harness in
 //! `tests/fuzz_differential.rs` enforce the contract across all
-//! arbitration × release modes; committed golden digests pin the trace
-//! emission order.
+//! arbitration × release modes, traces compared in emission order;
+//! committed golden digests pin the oracle's order over time.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -160,17 +152,12 @@ use crate::trace::{TraceEvent, TraceKind, TraceSink};
 /// below are made unambiguous by the queue index tie-break, and the scan
 /// keeps the earliest index among equal primary keys.
 trait Arbitration {
-    /// `true` exactly for [`ArbitrationPolicy::Fifo`]: a dispatch attempt
-    /// landing on the current clock edge may run inline (see "Inline
-    /// FIFO dispatch" in the module docs).
-    const FIFO: bool;
     /// Index of the request to serve next (queue is non-empty).
     fn pick(queue: &VecDeque<LocalReq>, flow_src: &[ProcessId], served: &[u64]) -> usize;
 }
 
 struct FifoArb;
 impl Arbitration for FifoArb {
-    const FIFO: bool = true;
     #[inline(always)]
     fn pick(_q: &VecDeque<LocalReq>, _src: &[ProcessId], _served: &[u64]) -> usize {
         0
@@ -179,7 +166,6 @@ impl Arbitration for FifoArb {
 
 struct PriorityArb;
 impl Arbitration for PriorityArb {
-    const FIFO: bool = false;
     #[inline(always)]
     fn pick(q: &VecDeque<LocalReq>, flow_src: &[ProcessId], _served: &[u64]) -> usize {
         let mut best = 0;
@@ -197,7 +183,6 @@ impl Arbitration for PriorityArb {
 
 struct FairArb;
 impl Arbitration for FairArb {
-    const FIFO: bool = false;
     #[inline(always)]
     fn pick(q: &VecDeque<LocalReq>, flow_src: &[ProcessId], served: &[u64]) -> usize {
         let mut best = 0;
@@ -606,6 +591,15 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
         self.sc.queue.pop()
     }
 
+    /// `true` when an event scheduled now at `at` would pop next: every
+    /// queued event lies strictly after it. A handler whose last action
+    /// schedules such an event may run its handler inline instead ("One
+    /// inline rule" in the module docs).
+    #[inline(always)]
+    fn pops_next(&self, at: Picos) -> bool {
+        self.sc.queue.last().is_none_or(|e| e.at > at.0)
+    }
+
     /// Schedule a local dispatch at `at` unless one is already
     /// outstanding there (see the dedup argument in the module docs).
     #[inline(always)]
@@ -779,10 +773,9 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
                 self.sc.sa_pkg[si].push_back(pkg);
             }
             // Compute ends on an edge of the producer's own segment
-            // clock, so the dispatch edge `next_edge(now)` is `now` and
-            // the FIFO inline-dispatch condition always holds.
+            // clock, so the dispatch edge `next_edge(now)` is `now`.
             debug_assert_eq!(plan.fast_seg[si].next_edge(now), now);
-            if A::FIFO {
+            if self.pops_next(now) {
                 self.on_sa_dispatch(now, src_seg);
             } else {
                 self.request_dispatch(src_seg, now);
@@ -852,13 +845,7 @@ impl<A: Arbitration, R: Release, const TRACED: bool> FastRun<'_, '_, A, R, TRACE
             segment: Some(seg),
         });
         let chain = !self.sc.sa_queue[si].is_empty();
-        if self.sc.queue.last().is_none_or(|x| x.at > end.0) {
-            // Every queued event lies strictly after `end`, so the
-            // IntraDone we are about to schedule would be the unique
-            // minimum and pop next; running it synchronously is
-            // order-identical and skips the queue round-trip. (A dedup
-            // marker equal to `end` cannot exist: markers always back a
-            // queued event at their timestamp.)
+        if self.pops_next(end) {
             self.sc.makespan = end;
             self.on_intra_done(end, req.flow, req.frame, chain, pkg);
             return;
@@ -1259,7 +1246,6 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::test_support::{estimate, reference, run_plan};
-    use crate::trace::TraceLog;
     use segbus_model::mapping::{Allocation, Psm};
     use segbus_model::platform::Platform;
     use segbus_model::psdf::{Application, Flow, Process};
@@ -1282,23 +1268,17 @@ mod tests {
     }
 
     /// Traced runs: the fast core's report equals the reference's, and
-    /// both traces hold the same events (compared in canonical order —
-    /// the emission order is pinned by golden digests instead). Returns
-    /// the fast core's trace.
-    fn assert_same_trace(psm: &Psm, frames: u64, cfg: EmulatorConfig, label: &str) -> TraceLog {
+    /// both traces hold the same events in the same emission order.
+    fn assert_same_trace(psm: &Psm, frames: u64, cfg: EmulatorConfig, label: &str) {
         let a = reference(cfg, psm, frames);
         let b = estimate(cfg, psm, frames);
         assert_same_report(&a, &b, label);
-        let mut ta = a.trace.expect("reference trace").events().to_vec();
+        let ta = a.trace.expect("reference trace");
         let tb = b.trace.expect("fast trace");
-        let mut sorted = tb.events().to_vec();
-        ta.sort();
-        sorted.sort();
-        assert_eq!(ta.len(), sorted.len(), "{label}: event count");
-        for (i, (x, y)) in ta.iter().zip(&sorted).enumerate() {
-            assert_eq!(x, y, "{label}: event {i} in canonical order");
+        assert_eq!(ta.len(), tb.len(), "{label}: event count");
+        for (i, (x, y)) in ta.events().iter().zip(tb.events()).enumerate() {
+            assert_eq!(x, y, "{label}: event {i}");
         }
-        tb
     }
 
     /// Mixed-shape PSM zoo: local + inter-segment + multi-wave +

@@ -8,9 +8,7 @@
 //! crate's `tests/differential.rs`, and the workspace's
 //! `trace_differential` and `fuzz_differential` suites) assert that the
 //! fast core reproduces its reports, rejection codes and trace events
-//! exactly. Trace *emission order* may differ under FIFO arbitration (see
-//! "Inline FIFO dispatch" in [`crate::fast`]), so committed golden digests
-//! pin the fast core's order instead.
+//! exactly, in emission order.
 //!
 //! Apart from the type rename (`Emulator` → [`ReferenceEmulator`]), this
 //! header and the `try_run`/`try_run_frames` entries (which run the shared

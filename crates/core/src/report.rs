@@ -78,11 +78,6 @@ impl EmulationReport {
         self.bus.iter().map(|b| b.total_in()).sum()
     }
 
-    /// Total intra-segment requests over all SAs.
-    pub fn total_intra_requests(&self) -> u64 {
-        self.sas.iter().map(|s| s.intra_requests).sum()
-    }
-
     /// Observed start/end of one process, if it ever ran.
     pub fn fu(&self, p: ProcessId) -> &FuTimes {
         &self.fus[p.index()]
@@ -261,7 +256,6 @@ mod tests {
     fn aggregates() {
         let r = sample();
         assert_eq!(r.inter_segment_packages(), 2);
-        assert_eq!(r.total_intra_requests(), 5);
         assert!(r.all_flags_raised());
     }
 

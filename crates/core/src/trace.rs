@@ -9,7 +9,7 @@ use segbus_model::time::Picos;
 use segbus_model::Fnv64;
 
 /// What happened.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TraceKind {
     /// A producer started computing a package.
     ComputeStart,
@@ -31,9 +31,8 @@ pub enum TraceKind {
     WaveComplete,
 }
 
-/// One trace record. The derived order (time, kind, then the payload
-/// fields) is the canonical order used to compare traces as event sets.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+/// One trace record.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TraceEvent {
     /// Global time of the event.
     pub at: Picos,
@@ -134,11 +133,6 @@ impl TraceLog {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Events touching one process.
-    pub fn of_process(&self, p: ProcessId) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.process == Some(p))
-    }
-
     /// Busy intervals `[start, end)` of one segment's bus, in emission
     /// order (pairs of `BusStart`/`BusEnd`).
     pub fn bus_intervals(&self, seg: SegmentId) -> Vec<(Picos, Picos)> {
@@ -192,8 +186,6 @@ mod tests {
         log.push(ev(30, TraceKind::Delivered));
         assert_eq!(log.len(), 3);
         assert_eq!(log.of_kind(TraceKind::Delivered).count(), 1);
-        assert_eq!(log.of_process(ProcessId(1)).count(), 3);
-        assert_eq!(log.of_process(ProcessId(2)).count(), 0);
     }
 
     #[test]

@@ -67,13 +67,6 @@ impl SegbusError {
         self.span = Some(SourceSpan { line, col });
         self
     }
-
-    /// Prefix the message with a context label (e.g. a file path):
-    /// `error[P002] at 3:1: models/a.sbd: expected ...`.
-    pub fn in_context(mut self, context: &str) -> SegbusError {
-        self.message = format!("{context}: {}", self.message);
-        self
-    }
 }
 
 impl fmt::Display for SegbusError {
@@ -127,14 +120,6 @@ mod tests {
             spanned.to_string(),
             "error[P003] at 3:14: integer out of range"
         );
-    }
-
-    #[test]
-    fn context_prefixes_message() {
-        let e = SegbusError::new("P002", "expected '{'")
-            .with_span(1, 5)
-            .in_context("a.sbd");
-        assert_eq!(e.to_string(), "error[P002] at 1:5: a.sbd: expected '{'");
     }
 
     #[test]

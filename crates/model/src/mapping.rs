@@ -91,13 +91,6 @@ impl Allocation {
         self.slots.len() >= n && self.slots[..n].iter().all(Option::is_some)
     }
 
-    /// First unplaced process among the first `n`, if any.
-    pub fn first_unplaced(&self, n: usize) -> Option<ProcessId> {
-        (0..n)
-            .map(|i| ProcessId(i as u32))
-            .find(|p| self.segment_of(*p).is_none())
-    }
-
     /// Total inter-segment traffic of an application under this allocation:
     /// `Σ_flows items(f) · hops(seg(src), seg(dst))`.
     ///
@@ -189,11 +182,6 @@ impl Psm {
         self.allocation.segment_of_checked(p)
     }
 
-    /// `true` if the flow stays within one segment.
-    pub fn is_local_flow(&self, f: &crate::psdf::Flow) -> bool {
-        self.segment_of(f.src) == self.segment_of(f.dst)
-    }
-
     /// The same application and allocation on a platform that differs
     /// only in package size.
     ///
@@ -266,13 +254,11 @@ mod tests {
     fn completeness() {
         let mut a = Allocation::new(2);
         assert!(!a.is_complete(1));
-        assert_eq!(a.first_unplaced(2), Some(ProcessId(0)));
         a.assign(ProcessId(0), SegmentId(0));
         assert!(a.is_complete(1));
-        assert_eq!(a.first_unplaced(2), Some(ProcessId(1)));
+        assert!(!a.is_complete(2));
         a.assign(ProcessId(1), SegmentId(1));
         assert!(a.is_complete(2));
-        assert_eq!(a.first_unplaced(2), None);
     }
 
     #[test]
@@ -298,7 +284,6 @@ mod tests {
         let psm = Psm::new(p, a, al).unwrap();
         assert_eq!(psm.matrix().items(ProcessId(0), ProcessId(1)), 72);
         assert_eq!(psm.segment_of(ProcessId(0)), SegmentId(0));
-        assert!(!psm.is_local_flow(&psm.application().flows()[0]));
     }
 
     #[test]
@@ -314,7 +299,8 @@ mod tests {
         let (p, a, al) = parts();
         let psm = Psm::new(p, a, al).unwrap();
         let moved = psm.with_process_moved(ProcessId(1), SegmentId(0)).unwrap();
-        assert!(moved.is_local_flow(&moved.application().flows()[0]));
+        let f = &moved.application().flows()[0];
+        assert_eq!(moved.segment_of(f.src), moved.segment_of(f.dst));
         assert!(psm.with_process_moved(ProcessId(1), SegmentId(7)).is_err());
     }
 

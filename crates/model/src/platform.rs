@@ -93,18 +93,6 @@ impl BorderUnitRef {
     pub fn index(&self) -> usize {
         self.left.index()
     }
-
-    /// The neighbour on the other side of `seg`, if `seg` touches this BU.
-    #[inline]
-    pub fn other_side(&self, seg: SegmentId) -> Option<SegmentId> {
-        if seg == self.left {
-            Some(self.right)
-        } else if seg == self.right {
-            Some(self.left)
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for BorderUnitRef {
@@ -233,15 +221,6 @@ impl Platform {
             return Some(BorderUnitRef::wrap(SegmentId(n - 1)));
         }
         None
-    }
-
-    /// The border units a package crosses travelling from `from` to `to`
-    /// (empty for an intra-segment transfer), in travel order.
-    pub fn path_bus(&self, from: SegmentId, to: SegmentId) -> Vec<BorderUnitRef> {
-        let segs = self.path_segments(from, to);
-        segs.windows(2)
-            .map(|w| self.bu_between(w[0], w[1]).expect("path hops are adjacent"))
-            .collect()
     }
 
     /// The segments a package occupies travelling from `from` to `to`,
@@ -436,19 +415,10 @@ mod tests {
     #[test]
     fn paths_both_directions() {
         let p = plat(4);
-        let right: Vec<String> = p
-            .path_bus(SegmentId(0), SegmentId(3))
-            .iter()
-            .map(|b| b.to_string())
-            .collect();
-        assert_eq!(right, ["BU12", "BU23", "BU34"]);
-        let left: Vec<String> = p
-            .path_bus(SegmentId(3), SegmentId(1))
-            .iter()
-            .map(|b| b.to_string())
-            .collect();
-        assert_eq!(left, ["BU34", "BU23"]);
-        assert!(p.path_bus(SegmentId(2), SegmentId(2)).is_empty());
+        assert_eq!(
+            p.path_segments(SegmentId(0), SegmentId(3)),
+            vec![SegmentId(0), SegmentId(1), SegmentId(2), SegmentId(3)]
+        );
         assert_eq!(
             p.path_segments(SegmentId(2), SegmentId(0)),
             vec![SegmentId(2), SegmentId(1), SegmentId(0)]
@@ -495,8 +465,6 @@ mod tests {
         assert_eq!(wrap.left, SegmentId(3));
         assert_eq!(wrap.right(), SegmentId(0));
         assert_eq!(wrap.index(), 3);
-        assert_eq!(wrap.other_side(SegmentId(0)), Some(SegmentId(3)));
-        assert_eq!(wrap.other_side(SegmentId(1)), None);
     }
 
     #[test]
@@ -549,17 +517,6 @@ mod tests {
         assert_eq!(p.hops(SegmentId(0), SegmentId(4)), 2);
         // Linear distances are unchanged.
         assert_eq!(plat(6).hops(SegmentId(0), SegmentId(5)), 5);
-    }
-
-    #[test]
-    fn ring_path_bus_crosses_wrap_unit() {
-        let p = ring(4);
-        let bus: Vec<String> = p
-            .path_bus(SegmentId(3), SegmentId(1))
-            .iter()
-            .map(|b| b.to_string())
-            .collect();
-        assert_eq!(bus, ["BU41", "BU12"]);
     }
 
     #[test]

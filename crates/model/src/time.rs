@@ -166,12 +166,6 @@ impl ClockDomain {
     pub fn next_edge(&self, t: Picos) -> Picos {
         Picos(t.0.div_ceil(self.period_ps) * self.period_ps)
     }
-
-    /// The edge strictly after `t`.
-    #[inline]
-    pub fn edge_after(&self, t: Picos) -> Picos {
-        Picos((t.0 / self.period_ps + 1) * self.period_ps)
-    }
 }
 
 impl fmt::Display for ClockDomain {
@@ -216,8 +210,6 @@ mod tests {
         assert_eq!(d.next_edge(Picos(0)), Picos(0));
         assert_eq!(d.next_edge(Picos(1)), Picos(10));
         assert_eq!(d.next_edge(Picos(10)), Picos(10));
-        assert_eq!(d.edge_after(Picos(10)), Picos(20));
-        assert_eq!(d.edge_after(Picos(9)), Picos(10));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! 2. **Differential agreement.** For every *accepted* input, the engine
 //!    and the vendored pre-optimisation [`ReferenceEmulator`] must
 //!    produce bit-identical reports, single-shot and over two frames, and
-//!    must reject the same inputs with the same typed codes.
+//!    must reject the same inputs with the same typed codes. Each input
+//!    runs under one arbitration × release pair drawn from a hash of its
+//!    seed and case, and one input in 16 is also traced, its events
+//!    compared with the reference's in emission order.
 //!
 //! All randomness comes from the repo's own [`SmallRng`] (no external
 //! fuzzing dependency), so every case is reproducible from its seed. The
@@ -18,9 +21,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use segbus_core::{EmulationReport, EmulatorConfig, Engine, ReferenceEmulator};
+use segbus_core::{
+    ArbitrationPolicy, EmulationReport, EmulatorConfig, Engine, ProducerRelease, ReferenceEmulator,
+};
 use segbus_model::mapping::Psm;
 use segbus_model::rng::SmallRng;
+use segbus_model::Fnv64;
 use segbus_xml::m2t;
 
 // ---------------------------------------------------------------------------
@@ -184,17 +190,50 @@ fn assert_same(a: &EmulationReport, r: &EmulationReport, label: &str) {
     assert_eq!(a.fus, r.fus, "{label}: FU counters");
 }
 
+/// The configuration case `case` of campaign `seed` runs under: an
+/// arbitration × release pair, and tracing for one case in 16, drawn
+/// from a hash of the two so the RNG's input stream is untouched.
+fn case_config(seed: u64, case: usize) -> EmulatorConfig {
+    const ARBS: [ArbitrationPolicy; 3] = [
+        ArbitrationPolicy::Fifo,
+        ArbitrationPolicy::FixedPriority,
+        ArbitrationPolicy::FairRoundRobin,
+    ];
+    const RELS: [ProducerRelease; 2] = [
+        ProducerRelease::AfterDelivery,
+        ProducerRelease::AfterLocalPhase,
+    ];
+    let mut h = Fnv64::new();
+    h.write_u64(seed);
+    h.write_u64(case as u64);
+    let h = h.finish();
+    EmulatorConfig {
+        arbitration: ARBS[(h % 3) as usize],
+        producer_release: RELS[(h / 3 % 2) as usize],
+        trace: h / 6 % 16 == 0,
+    }
+}
+
 /// Run `frames` frames of `psm` on the engine and on the reference
 /// through their un-prechecked `try_` surfaces: accept / reject decisions
 /// and rejection codes must agree, and accepted runs must produce the
-/// same report. Returns the engine's report when accepted.
-fn compare_frames(psm: &Psm, frames: u64, label: &str) -> Option<EmulationReport> {
-    let cfg = EmulatorConfig::default();
+/// same report, and under a traced `cfg` the same events in the same
+/// order. Returns the engine's report when accepted.
+fn compare_frames(
+    psm: &Psm,
+    frames: u64,
+    cfg: EmulatorConfig,
+    label: &str,
+) -> Option<EmulationReport> {
     let engine = Engine::new(cfg).try_run_frames(psm, frames);
     let reference = ReferenceEmulator::new(cfg).try_run_frames(psm, frames);
     match (engine, reference) {
         (Ok(a), Ok(r)) => {
             assert_same(&a, &r, label);
+            assert!(
+                a.trace.as_ref().map(|t| t.events()) == r.trace.as_ref().map(|t| t.events()),
+                "{label}: trace events differ from the reference's"
+            );
             Some(a)
         }
         (Err(e), Err(r)) => {
@@ -211,11 +250,15 @@ fn compare_frames(psm: &Psm, frames: u64, label: &str) -> Option<EmulationReport
 /// it with the reference, single-shot and — the streaming path exercises
 /// frame-boundary bookkeeping the single-shot run never touches — over
 /// two frames.
-fn emulate_and_compare(psm: &Psm, label: &str) {
-    let Some(a) = compare_frames(psm, 1, label) else {
+fn emulate_and_compare(psm: &Psm, cfg: EmulatorConfig, label: &str) {
+    let label = format!(
+        "{label} ({:?}, {:?}, traced {})",
+        cfg.arbitration, cfg.producer_release, cfg.trace
+    );
+    let Some(a) = compare_frames(psm, 1, cfg, &label) else {
         return;
     };
-    if let Some(a2) = compare_frames(psm, 2, &format!("{label} (frames 2)")) {
+    if let Some(a2) = compare_frames(psm, 2, cfg, &format!("{label} (frames 2)")) {
         assert!(
             a2.makespan >= a.makespan,
             "{label}: a second frame cannot finish earlier than the first"
@@ -289,13 +332,14 @@ fn campaign_to(seed: u64, budget: usize, artifacts: Option<&std::path::Path>) {
 
     let mut accepted = 0usize;
     for case in 0..budget {
+        let cfg = case_config(seed, case);
         let arm = rng.below(10);
         let result = if arm < 3 {
             // Arm A: structured generated DSL.
             let src = gen_dsl(&mut rng);
             catch_unwind(AssertUnwindSafe(|| {
                 if let Some(psm) = drive_dsl(&src) {
-                    emulate_and_compare(&psm, "generated dsl");
+                    emulate_and_compare(&psm, cfg, "generated dsl");
                     true
                 } else {
                     false
@@ -308,7 +352,7 @@ fn campaign_to(seed: u64, budget: usize, artifacts: Option<&std::path::Path>) {
             let src = mutate(&mut rng, base);
             catch_unwind(AssertUnwindSafe(|| {
                 if let Some(psm) = drive_dsl(&src) {
-                    emulate_and_compare(&psm, "mutated dsl");
+                    emulate_and_compare(&psm, cfg, "mutated dsl");
                     true
                 } else {
                     false
@@ -324,7 +368,7 @@ fn campaign_to(seed: u64, budget: usize, artifacts: Option<&std::path::Path>) {
             let src = segbus_gen::mutate_dsl(base, &mut rng);
             catch_unwind(AssertUnwindSafe(|| {
                 if let Some(psm) = drive_dsl(&src) {
-                    emulate_and_compare(&psm, "structure-mutated dsl");
+                    emulate_and_compare(&psm, cfg, "structure-mutated dsl");
                     true
                 } else {
                     false
@@ -343,7 +387,7 @@ fn campaign_to(seed: u64, budget: usize, artifacts: Option<&std::path::Path>) {
             let joined = format!("{pd}\n----\n{pm}");
             catch_unwind(AssertUnwindSafe(|| {
                 if let Some(psm) = drive_xml(&pd, &pm) {
-                    emulate_and_compare(&psm, "mutated xml");
+                    emulate_and_compare(&psm, cfg, "mutated xml");
                     true
                 } else {
                     false
@@ -364,7 +408,7 @@ fn campaign_to(seed: u64, budget: usize, artifacts: Option<&std::path::Path>) {
             let joined = format!("{pd}\n----\n{pm}");
             catch_unwind(AssertUnwindSafe(|| {
                 if let Some(psm) = drive_xml(&pd, &pm) {
-                    emulate_and_compare(&psm, "structure-mutated xml");
+                    emulate_and_compare(&psm, cfg, "structure-mutated xml");
                     true
                 } else {
                     false
@@ -434,7 +478,7 @@ fn corpus_models_accepted_and_match_the_reference() {
     for (name, text) in corpus() {
         let psm = segbus_dsl::parse_system(&text)
             .unwrap_or_else(|e| panic!("{name} must stay valid: {e}"));
-        emulate_and_compare(&psm, &name);
+        emulate_and_compare(&psm, EmulatorConfig::default(), &name);
     }
 }
 
